@@ -74,11 +74,11 @@ def _run_builders(tokenized, index_dir: str, cfg: EngineConfig,
                   build_concurrency: int | None):
     """The exchange + segment-build stage shared by ``build_index`` and
     ``extend_index``; returns the lazy (term, df, cf) partials Dataset."""
+    try:
+        ncpu = int(ray.cluster_resources().get("CPU", 8))
+    except Exception:
+        ncpu = 8
     if build_concurrency is None:
-        try:
-            ncpu = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            ncpu = 8
         # A pool of persistent builder actors, each handling several
         # segments sequentially, beats one task per segment on hosts where
         # fresh-page faults are expensive (runtime.py): the actor's malloc
@@ -91,7 +91,9 @@ def _run_builders(tokenized, index_dir: str, cfg: EngineConfig,
         build_concurrency = max(1, min(ncpu // 2,
                                        cfg.index.num_segments))
 
-    if use_actor_pool:
+    # below 2 CPUs even a one-actor pool holds the only CPU and starves
+    # the read/assign tasks feeding it: build with tasks instead
+    if use_actor_pool and ncpu >= 2:
         return (tokenized
                 .groupby("segment_id")
                 .map_groups(SegmentBuilderStage,
@@ -453,10 +455,8 @@ def delete_docs(index_dir: str, conv_ids: list[str]) -> dict:
         return pa.table({"segment": pa.array(segs, pa.string()),
                          "n_new": pa.array(counts, pa.int64())})
 
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    res = seg_ds.map_batches(_task, batch_format="pyarrow",
-                             batch_size=seg_batch).to_pandas()
+    from .scatter import segment_ds
+    res = segment_ds(seg_dirs, _task).to_pandas()
     return {"n_deleted_docs": int(res["n_new"].sum())}
 
 
@@ -529,10 +529,8 @@ def update_attributes(index_dir: str, updates, *,
         return pa.table({"segment": pa.array(segs, pa.string()),
                          "n_hit": pa.array(counts, pa.int64())})
 
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    res = seg_ds.map_batches(_task, batch_format="pyarrow",
-                             batch_size=seg_batch).to_pandas()
+    from .scatter import segment_ds
+    res = segment_ds(seg_dirs, _task).to_pandas()
     return {"n_updated_docs": int(res["n_hit"].sum())}
 
 
@@ -584,11 +582,9 @@ def get_conversations(index_dir: str, conv_ids: list[str]) -> pa.Table:
         return pa.concat_tables(tables)
 
     from ..runtime import block_refs
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in dirs])
+    from .scatter import segment_ds
     out = pa.concat_tables([t for t in ray.get(block_refs(
-        seg_ds.map_batches(_task, batch_format="pyarrow",
-                           batch_size=max(1, len(dirs) // 64))))
-        if t.num_rows]
+        segment_ds(dirs, _task))) if t.num_rows]
         or [pa.table({"conv_id": pa.array([], pa.string()),
                       "turn_idx": pa.array([], pa.int32()),
                       "doclen": pa.array([], pa.int32())})])

@@ -1,8 +1,16 @@
-"""One-shot query entry points (the ``*_index`` functions): each call
-broadcasts queries + global stats, scatter-gathers per-segment top-k
-over an ephemeral stage, and merges k·S driver-side rows.  Split out
-of the former index/query.py monolith (VERDICT r3 next #6 — no
-behavior change)."""
+"""One-shot query entry points: the ``*_index`` functions.
+
+Each function runs the shared one-shot prologue
+(:func:`~vframe_ray.index.scatter.open_index`: one alias resolve, meta,
+config, predicate check, tokenizer), plans its request through the mode
+table (:mod:`.plan`), does one global-df lookup, scatters the mode's
+segment kernel over ephemeral Ray Data tasks and merges the partials
+with the table's shared merge.  The expansion modes (prefix, wildcard,
+regex, fuzzy, synonyms, more-like-this) rewrite their queries against
+the dictionary and delegate to :func:`search_index`; the composites
+(explain, export, retrieval evaluation) scatter their own segment
+functions through the same prologue and scatter helper.
+"""
 
 from __future__ import annotations
 
@@ -19,9 +27,12 @@ import ray.data
 
 from ..analyze import Tokenizer
 from ..config import BM25Config, EngineConfig
-from .scatter import _SearcherStage, validate_predicates
-from .searcher import (_RESULT_SCHEMA, SegmentSearcher,
-                       _collapse_hits_impl, _global_df_for_terms,
+from . import plan as P
+from .plan import parse_boosted_query  # noqa: F401  (import surface)
+from .scatter import (_SearcherStage, open_index, open_indexes, run_mode,
+                      run_op_segment, scatter, scatter_ds, stage_kwargs,
+                      validate_predicates)  # noqa: F401
+from .searcher import (_RESULT_SCHEMA, SegmentSearcher, _global_df_for_terms,
                        _merge_topk_driver, idf)
 from ..state.manifest import terms_dir as _terms_dir
 
@@ -54,82 +65,53 @@ def search_index(index_dir: str, queries: list[dict],
     …]`` (the filter-context-per-request shape) — validated like the
     global ``predicates`` and ANDed with them for that query only.
     """
-    from .build import load_index_meta
-    cfg_dict, stats, seg_dirs = load_index_meta(index_dir)
-    # the stored index config is authoritative for analyzer/scoring params
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    if predicates:
-        validate_predicates(index_dir, predicates)
-    for q in queries:
-        if q.get("filter"):
-            validate_predicates(index_dir, list(q["filter"]))
+    return _search(open_index(index_dir, cfg, predicates), queries,
+                   use_bmw=use_bmw, concurrency=concurrency,
+                   predicates=predicates, collapse=collapse,
+                   driver_merge_max_rows=driver_merge_max_rows)
 
-    tok = Tokenizer(cfg.analyzer)
-    offsets = {int(q["query_id"]): int(q.get("offset", 0)) for q in queries}
-    # segments must surface their full local top-(offset+k)
-    parsed = [(int(q["query_id"]), sorted(set(tok.tokenize(q["query_text"]))),
-               int(q.get("k", 10)) + int(q.get("offset", 0)),
-               tuple(q["filter"]) if q.get("filter") else None)
-              for q in queries]
-    all_terms = set().union(*[set(q[1]) for q in parsed]) if parsed else set()
-    gdf = _global_df_for_terms(index_dir, all_terms)
 
-    q_ref = ray.put(parsed)
-    gdf_ref = ray.put(gdf)
-    stage_kwargs = dict(
-        queries_ref=q_ref, bm25_dict={"k1": cfg.bm25.k1, "b": cfg.bm25.b},
-        n_docs=stats["n_docs"], avgdl=stats["avgdl"], gdf_ref=gdf_ref,
-        use_bmw=use_bmw, block_size=cfg.index.block_size,
-        predicates=predicates, collapse=collapse)
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    ks = {q[0]: q[2] - offsets.get(q[0], 0) for q in parsed}
-    max_hits = sum(q[2] for q in parsed) * len(seg_dirs)
-    any_offset = any(offsets.values())
-
+def _search(ix, queries: list[dict], *, use_bmw: bool = True,
+            concurrency=(1, 8), predicates: list[str] | None = None,
+            collapse: bool = False,
+            driver_merge_max_rows: int = 1_000_000) -> pa.Table:
+    req = ix.plan("search", queries, use_bmw=use_bmw, collapse=collapse)
+    idf_map = P.resolve_idf([req], ix.df, ix.stats["n_docs"])
+    payload = dict(op=req.op(), predicates=predicates)
+    max_hits = sum(req.ks().values()) * len(ix.seg_dirs)
     if max_hits <= driver_merge_max_rows:
         # Small scatter-gather: per-segment top-k as plain TASKS (reuse
         # warm workers, no actor-pool spin-up) and merge the ≤1M candidate
         # rows on the driver — one round-trip, no shuffle.
-        def _task(batch: pa.Table) -> pa.Table:
-            stage = _SearcherStage(**stage_kwargs)
-            return stage(batch)
+        return P.merge(req, scatter(ix, run_op_segment, idf_map, **payload))
+    # Large fan-in: distributed merge via groupby(query_id) so no
+    # single process holds every candidate row.
+    kw = stage_kwargs(ix, run_op_segment, idf_map, **payload)
+    hits = ray.data.from_items([{"seg_dir": d} for d in ix.seg_dirs]) \
+        .map_batches(_SearcherStage, fn_constructor_kwargs=kw,
+                     batch_format="pyarrow", batch_size=1,
+                     concurrency=concurrency)
+    ks, offsets = req.ks(), req.offsets
 
-        # several segments per task: task-launch overhead amortizes and
-        # the task count stays ~O(cpus) even with hundreds of segments
-        seg_batch = max(1, len(seg_dirs) // 64)
-        hits = seg_ds.map_batches(_task, batch_format="pyarrow",
-                                  batch_size=seg_batch)
-        merged_df = _merge_topk_driver(hits.to_pandas(), ks,
-                                       offsets if any_offset else None)
-    else:
-        # Large fan-in: distributed merge via groupby(query_id) so no
-        # single process holds every candidate row.
-        hits = seg_ds.map_batches(_SearcherStage,
-                                  fn_constructor_kwargs=stage_kwargs,
-                                  batch_format="pyarrow", batch_size=1,
-                                  concurrency=concurrency)
+    def merge(group: pa.Table) -> pa.Table:
+        qid = int(group["query_id"][0].as_py())
+        off = offsets.get(qid, 0)
+        df = group.to_pandas().sort_values(
+            ["score", "conv_id", "turn_idx"],
+            ascending=[False, True, True]).head(ks[qid]).iloc[off:]
+        df["rank"] = np.arange(off + 1, off + len(df) + 1,
+                               dtype=np.int32)
+        return pa.Table.from_pandas(df[["query_id", "rank", "conv_id",
+                                        "turn_idx", "score"]],
+                                    preserve_index=False) \
+            .replace_schema_metadata(None)
 
-        def merge(group: pa.Table) -> pa.Table:
-            qid = int(group["query_id"][0].as_py())
-            off = offsets.get(qid, 0)
-            df = group.to_pandas().sort_values(
-                ["score", "conv_id", "turn_idx"],
-                ascending=[False, True, True]) \
-                .head(ks.get(qid, 10) + off).iloc[off:]
-            df["rank"] = np.arange(off + 1, off + len(df) + 1,
-                                   dtype=np.int32)
-            return pa.Table.from_pandas(df[["query_id", "rank", "conv_id",
-                                            "turn_idx", "score"]],
-                                        preserve_index=False) \
-                .replace_schema_metadata(None)
-
-        merged = hits.groupby("query_id").map_groups(merge,
-                                                     batch_format="pyarrow")
-        merged_df = merged.to_pandas()
-
+    merged = hits.groupby("query_id").map_groups(
+        merge, batch_format="pyarrow").to_pandas()
+    if merged.empty:
+        return _RESULT_SCHEMA.empty_table()
     out = pa.Table.from_pandas(
-        merged_df.sort_values(["query_id", "rank"]), preserve_index=False)
+        merged.sort_values(["query_id", "rank"]), preserve_index=False)
     return out.cast(_RESULT_SCHEMA)
 
 
@@ -143,43 +125,8 @@ def phrase_rank_index(index_dir: str, phrases: list[dict],
     phrases: [{"query_id", "phrase", "k"}] →
     (query_id, rank, conv_id, turn_idx, score) like :func:`search_index`.
     """
-    from .build import load_index_meta
-    cfg_dict, stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    if predicates:
-        validate_predicates(index_dir, predicates)
-    tok = Tokenizer(cfg.analyzer)
-    parsed = [(int(p["query_id"]), tok.tokenize(p["phrase"]),
-               int(p.get("k", 10))) for p in phrases]
-    all_terms = set().union(*[set(t) for _, t, _ in parsed]) if parsed \
-        else set()
-    gdf = _global_df_for_terms(index_dir, all_terms)
-    n_docs, avgdl = stats["n_docs"], stats["avgdl"]
-    parsed_ref = ray.put(parsed)
-    gdf_ref = ray.put(gdf)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    block_size = cfg.index.block_size
-
-    def _task(batch: pa.Table) -> pa.Table:
-        qs = ray.get(parsed_ref)
-        gdf_l = ray.get(gdf_ref)
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), n_docs,
-                                avgdl, gdf_l, block_size=block_size)
-            tables.append(s.search_ranked_phrases(qs,
-                                                  predicates=predicates))
-        return pa.concat_tables(tables)
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    hits = seg_ds.map_batches(_task, batch_format="pyarrow",
-                              batch_size=seg_batch)
-    merged = _merge_topk_driver(hits.to_pandas(),
-                                {qid: k for qid, _, k in parsed})
-    out = pa.Table.from_pandas(
-        merged.sort_values(["query_id", "rank"]), preserve_index=False)
-    return out.cast(_RESULT_SCHEMA)
+    return run_mode(open_index(index_dir, cfg, predicates), "phrase_rank",
+                    phrases, predicates)
 
 
 def proximity_rank_index(index_dir: str, queries: list[dict],
@@ -194,46 +141,8 @@ def proximity_rank_index(index_dir: str, queries: list[dict],
     (query_id, rank, conv_id, turn_idx, score) like :func:`search_index`.
     ``ordered=True`` requires the terms in the given order (span-near).
     """
-    from .build import load_index_meta
-    cfg_dict, stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    if predicates:
-        validate_predicates(index_dir, predicates)
-    tok = Tokenizer(cfg.analyzer)
-    parsed = [(int(q["query_id"]),
-               (tok.tokenize(q["query_text"]) if q.get("ordered")
-                else sorted(set(tok.tokenize(q["query_text"])))),
-               int(q.get("window", 8)), int(q.get("k", 10)),
-               bool(q.get("ordered", False)))
-              for q in queries]
-    all_terms = set().union(*[set(q[1]) for q in parsed]) if parsed \
-        else set()
-    gdf = _global_df_for_terms(index_dir, all_terms)
-    n_docs, avgdl = stats["n_docs"], stats["avgdl"]
-    parsed_ref = ray.put(parsed)
-    gdf_ref = ray.put(gdf)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    block_size = cfg.index.block_size
-
-    def _task(batch: pa.Table) -> pa.Table:
-        qs = ray.get(parsed_ref)
-        gdf_l = ray.get(gdf_ref)
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), n_docs,
-                                avgdl, gdf_l, block_size=block_size)
-            tables.append(s.search_proximity(qs, predicates=predicates))
-        return pa.concat_tables(tables)
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    hits = seg_ds.map_batches(_task, batch_format="pyarrow",
-                              batch_size=seg_batch)
-    merged = _merge_topk_driver(hits.to_pandas(),
-                                {q[0]: q[3] for q in parsed})
-    out = pa.Table.from_pandas(
-        merged.sort_values(["query_id", "rank"]), preserve_index=False)
-    return out.cast(_RESULT_SCHEMA)
+    return run_mode(open_index(index_dir, cfg, predicates), "proximity",
+                    queries, predicates)
 
 
 def span_first_search_index(index_dir: str, queries: list[dict],
@@ -250,44 +159,8 @@ def span_first_search_index(index_dir: str, queries: list[dict],
     queries: [{"query_id", "query_text", "limit", "k"}] →
     (query_id, rank, conv_id, turn_idx, score) like :func:`search_index`.
     """
-    from .build import load_index_meta
-    cfg_dict, stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    if predicates:
-        validate_predicates(index_dir, predicates)
-    tok = Tokenizer(cfg.analyzer)
-    parsed = [(int(q["query_id"]),
-               sorted(set(tok.tokenize(q["query_text"]))),
-               int(q.get("limit", 16)), int(q.get("k", 10)))
-              for q in queries]
-    all_terms = set().union(*[set(q[1]) for q in parsed]) if parsed \
-        else set()
-    gdf = _global_df_for_terms(index_dir, all_terms)
-    n_docs, avgdl = stats["n_docs"], stats["avgdl"]
-    parsed_ref = ray.put(parsed)
-    gdf_ref = ray.put(gdf)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    block_size = cfg.index.block_size
-
-    def _task(batch: pa.Table) -> pa.Table:
-        qs = ray.get(parsed_ref)
-        gdf_l = ray.get(gdf_ref)
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), n_docs,
-                                avgdl, gdf_l, block_size=block_size)
-            tables.append(s.search_span_first(qs, predicates=predicates))
-        return pa.concat_tables(tables)
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    hits = seg_ds.map_batches(_task, batch_format="pyarrow",
-                              batch_size=seg_batch)
-    merged = _merge_topk_driver(hits.to_pandas(),
-                                {q[0]: q[3] for q in parsed})
-    out = pa.Table.from_pandas(
-        merged.sort_values(["query_id", "rank"]), preserve_index=False)
-    return out.cast(_RESULT_SCHEMA)
+    return run_mode(open_index(index_dir, cfg, predicates), "span_first",
+                    queries, predicates)
 
 
 def search_common_index(index_dir: str, queries: list[dict],
@@ -306,47 +179,9 @@ def search_common_index(index_dir: str, queries: list[dict],
     queries: [{"query_id", "query_text", "k"}] → (query_id, rank,
     conv_id, turn_idx, score) like :func:`search_index`.
     """
-    from .build import load_index_meta
-    cfg_dict, stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    if predicates:
-        validate_predicates(index_dir, predicates)
-    tok = Tokenizer(cfg.analyzer)
-    pre = [(int(q["query_id"]),
-            sorted(set(tok.tokenize(q["query_text"]))),
-            int(q.get("k", 10))) for q in queries]
-    all_terms = set().union(*[set(t) for _, t, _ in pre]) if pre \
-        else set()
-    gdf = _global_df_for_terms(index_dir, all_terms)
-    n_docs, avgdl = stats["n_docs"], stats["avgdl"]
-    parsed = [(qid, terms,
-               [t for t in terms if t in gdf
-                and gdf[t] * max_df_den < n_docs * max_df_num], k)
-              for qid, terms, k in pre]
-    parsed_ref = ray.put(parsed)
-    gdf_ref = ray.put(gdf)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    block_size = cfg.index.block_size
-
-    def _task(batch: pa.Table) -> pa.Table:
-        qs = ray.get(parsed_ref)
-        gdf_l = ray.get(gdf_ref)
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), n_docs,
-                                avgdl, gdf_l, block_size=block_size)
-            tables.append(s.search_common(qs, predicates=predicates))
-        return pa.concat_tables(tables)
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    hits = seg_ds.map_batches(_task, batch_format="pyarrow",
-                              batch_size=seg_batch)
-    merged = _merge_topk_driver(hits.to_pandas(),
-                                {q[0]: q[3] for q in parsed})
-    out = pa.Table.from_pandas(
-        merged.sort_values(["query_id", "rank"]), preserve_index=False)
-    return out.cast(_RESULT_SCHEMA)
+    return run_mode(open_index(index_dir, cfg, predicates), "common",
+                    queries, predicates, max_df_num=max_df_num,
+                    max_df_den=max_df_den)
 
 
 def sort_by_attr_index(index_dir: str, queries: list[dict], attr: str,
@@ -361,43 +196,9 @@ def sort_by_attr_index(index_dir: str, queries: list[dict], attr: str,
     queries: [{"query_id", "query_text", "k"}] → (query_id, rank,
     conv_id, turn_idx, score=attr value).
     """
-    from .build import load_index_meta
-    cfg_dict, stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    validate_predicates(index_dir, (predicates or []) + [f"{attr} > 0"])
-    tok = Tokenizer(cfg.analyzer)
-    parsed = [(int(q["query_id"]),
-               sorted(set(tok.tokenize(q["query_text"]))),
-               int(q.get("k", 10))) for q in queries]
-    all_terms = set().union(*[set(t) for _, t, _ in parsed]) if parsed \
-        else set()
-    gdf = _global_df_for_terms(index_dir, all_terms)
-    n_docs, avgdl = stats["n_docs"], stats["avgdl"]
-    parsed_ref = ray.put(parsed)
-    gdf_ref = ray.put(gdf)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    block_size = cfg.index.block_size
-
-    def _task(batch: pa.Table) -> pa.Table:
-        qs = ray.get(parsed_ref)
-        gdf_l = ray.get(gdf_ref)
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), n_docs,
-                                avgdl, gdf_l, block_size=block_size)
-            tables.append(s.match_sorted_by_attr(
-                qs, attr, predicates=predicates))
-        return pa.concat_tables(tables)
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    hits = seg_ds.map_batches(_task, batch_format="pyarrow",
-                              batch_size=seg_batch)
-    merged = _merge_topk_driver(hits.to_pandas(),
-                                {q[0]: q[2] for q in parsed})
-    out = pa.Table.from_pandas(
-        merged.sort_values(["query_id", "rank"]), preserve_index=False)
-    return out.cast(_RESULT_SCHEMA)
+    ix = open_index(index_dir, cfg)
+    ix.validate((predicates or []) + [f"{attr} > 0"])
+    return run_mode(ix, "sort_by_attr", queries, predicates, attr=attr)
 
 
 def phrase_search_index(index_dir: str, phrases: list[dict],
@@ -411,43 +212,213 @@ def phrase_search_index(index_dir: str, phrases: list[dict],
     phrases: [{"query_id", "phrase"}] →
     table (query_id, conv_id, turn_idx) sorted ascending.
     """
-    from .build import load_index_meta
-    cfg_dict, _stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    if predicates:
-        validate_predicates(index_dir, predicates)
-    tok = Tokenizer(cfg.analyzer)
-    parsed = [(int(p["query_id"]), tok.tokenize(p["phrase"]))
-              for p in phrases]
-    parsed_ref = ray.put(parsed)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    block_size = cfg.index.block_size
-
-    def _task(batch: pa.Table) -> pa.Table:
-        qs = ray.get(parsed_ref)
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), 1, 1.0,
-                                {}, block_size=block_size)
-            tables.append(s.search_phrases(qs, predicates=predicates))
-        return pa.concat_tables(tables)
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    hits = seg_ds.map_batches(_task, batch_format="pyarrow",
-                              batch_size=seg_batch)
-    schema = pa.schema([("query_id", pa.int32()),
-                        ("conv_id", pa.string()),
-                        ("turn_idx", pa.int32())])
-    df = hits.to_pandas()
-    if df.empty:
-        return pa.table({f.name: [] for f in schema}, schema=schema)
-    out = pa.Table.from_pandas(df, preserve_index=False).cast(schema)
-    return out.sort_by([("query_id", "ascending"),
-                        ("conv_id", "ascending"),
-                        ("turn_idx", "ascending")])
+    return run_mode(open_index(index_dir, cfg, predicates), "phrases",
+                    phrases, predicates)
 
 
+def facet_counts_index(index_dir: str, queries: list[dict],
+                       facet_col: str,
+                       cfg: EngineConfig | None = None, *,
+                       predicates: list[str] | None = None) -> pa.Table:
+    """Distributed faceted search: per-segment match-set facet partials
+    (≤ queries × facet-cardinality rows per segment, already reduced),
+    summed in one tiny driver groupby — the maximally pre-aggregated
+    combiner shape, no shuffle.
+
+    queries: [{"query_id", "query_text"}] →
+    table (query_id, facet, n) sorted by (query_id, facet)."""
+    return run_mode(open_index(index_dir, cfg, predicates), "facets",
+                    queries, predicates, facet_col=facet_col)
+
+
+def facet_ranges_index(index_dir: str, queries: list[dict],
+                       bin_width: int = 16,
+                       cfg: EngineConfig | None = None, *,
+                       predicates: list[str] | None = None) -> pa.Table:
+    """Distributed RANGE facets: per-query doc-length histogram over the
+    full match set (bin_lo = (dl // bin_width) · bin_width).  Identical
+    shape to :func:`facet_counts_index` — per-segment partials are
+    already ≤ queries × bins rows, one tiny driver sum, no shuffle.
+
+    queries: [{"query_id", "query_text"}] →
+    table (query_id, bin_lo, n) sorted by (query_id, bin_lo)."""
+    return run_mode(open_index(index_dir, cfg, predicates), "facet_ranges",
+                    queries, predicates, bin_width=bin_width)
+
+
+def facet_stats_index(index_dir: str, queries: list[dict],
+                      facet_col: str,
+                      cfg: EngineConfig | None = None, *,
+                      predicates: list[str] | None = None) -> pa.Table:
+    """Faceted stats: per query and facet value, the match-set doc
+    count AND mean document length (the ES terms-aggregation with an
+    avg sub-metric).  Per-segment partials are INTEGER (n, Σdl) and
+    ≤ queries × facet-cardinality rows each — summed in one tiny
+    driver groupby; the mean is ONE float division, mirrored in the
+    SQL oracle.
+
+    queries: [{"query_id", "query_text"}] →
+    table (query_id, facet, n, avg_dl) sorted by (query_id, facet)."""
+    return run_mode(open_index(index_dir, cfg, predicates), "facet_stats",
+                    queries, predicates, facet_col=facet_col)
+
+
+def match_counts_index(index_dir: str, queries: list[dict],
+                       cfg: EngineConfig | None = None, *,
+                       predicates: list[str] | None = None) -> pa.Table:
+    """Distributed total-hit counts: per-segment (query_id, n) partials
+    (docs are disjoint across segments, so partials sum exactly) merged
+    in one tiny driver groupby.  Queries with no matches report n = 0.
+
+    queries: [{"query_id", "query_text"}] → (query_id, n) sorted."""
+    return run_mode(open_index(index_dir, cfg, predicates), "match_counts",
+                    queries, predicates)
+
+
+def search_after_index(index_dir: str, queries: list[dict],
+                       cfg: EngineConfig | None = None, *,
+                       predicates: list[str] | None = None) -> pa.Table:
+    """Distributed cursor (search_after) pagination: queries
+    [{"query_id", "query_text", "k", "after": (score, conv_id,
+    turn_idx)}] → the k results ranked strictly after the cursor in the
+    global (score desc, conv_id, turn_idx) order.  Each segment emits
+    only k rows however deep the page — the scale advantage over
+    ``offset=`` (which over-fetches offset+k per segment)."""
+    return run_mode(open_index(index_dir, cfg, predicates), "after",
+                    queries, predicates)
+
+
+def search_boosted_index(index_dir: str, queries: list[dict],
+                         cfg: EngineConfig | None = None, *,
+                         predicates: list[str] | None = None) -> pa.Table:
+    """Distributed per-term boosted search: boost multiplies the term's
+    whole BM25 contribution via an effective idf (boost · idf), reusing
+    the exact TAAT scorer per segment (SegmentSearcher.search_boosted).
+
+    queries: [{"query_id", "query_text", "k"}] with ``term^2.5``
+    syntax → (query_id, rank, conv_id, turn_idx, score)."""
+    return run_mode(open_index(index_dir, cfg, predicates), "boosted",
+                    queries, predicates)
+
+
+def search_boolean_index(index_dir: str, queries: list[dict],
+                         cfg: EngineConfig | None = None, *,
+                         predicates: list[str] | None = None) -> pa.Table:
+    """Distributed boolean (must/should/must_not) top-k search.
+
+    queries: [{"query_id", "must", "should", "must_not", "k"}] with the
+    three clause fields free text run through the index analyzer →
+    table (query_id, rank, conv_id, turn_idx, score) like
+    :func:`search_index`.  Semantics per :meth:`SegmentSearcher.
+    search_boolean`: docs must contain every must term and no must_not
+    term; score = BM25 over the present must∪should terms.  The
+    scatter-gather is identical to plain search — per-segment top-k
+    candidates, one driver merge over ≤ k·S rows — and sound because a
+    doc's full posting state lives in exactly one segment.
+    """
+    return run_mode(open_index(index_dir, cfg, predicates), "boolean",
+                    queries, predicates)
+
+
+def function_score_index(index_dir: str, queries: list[dict],
+                         attr: str, weight: float = 0.2, *,
+                         predicates: list[str] | None = None) -> pa.Table:
+    """Function-score search (field_value_factor): ranks by
+    BM25 × (1 + weight·ln(1 + docmap ``attr``)) — the
+    attribute-boosted retrieval every freshness/popularity ranker runs.
+    Exact: per-segment every candidate is sparse-scored and rescaled
+    before its local top-k (WAND pruning is invalid under a per-doc
+    multiplier — see SegmentSearcher.search_function_score), then the
+    usual ≤ k·segments driver merge.
+
+    queries: [{"query_id", "query_text", "k"}] →
+    table (query_id, rank, conv_id, turn_idx, score)."""
+    ix = open_index(index_dir, None, predicates)
+    # fail fast on an unknown attribute column (same pre-flight as
+    # predicate validation)
+    if ix.seg_dirs:
+        cols = set(pq.read_schema(
+            os.path.join(ix.seg_dirs[0], "docs.parquet")).names)
+        if attr not in cols:
+            raise ValueError(
+                f"function-score attribute {attr!r} not in docmap "
+                f"columns {sorted(cols)} (pass attribute_cols=[...] "
+                f"at build_index time)")
+    return run_mode(ix, "function_score", queries, predicates, attr=attr,
+                    weight=weight)
+
+
+def search_boosting_index(index_dir: str, queries: list[dict],
+                          cfg: EngineConfig | None = None, *,
+                          predicates: list[str] | None = None
+                          ) -> pa.Table:
+    """Boosting query (the Elasticsearch ``boosting`` compound): rank
+    by the POSITIVE query's BM25 score, but docs matching the NEGATIVE
+    query keep their relevance demoted by ``negative_boost`` — softer
+    than must_not, which drops them outright.
+
+    queries: [{"query_id", "positive", "negative", "negative_boost",
+    "k"}] → (query_id, rank, conv_id, turn_idx, score), global order
+    (score desc, conv_id, turn_idx).
+
+    Exact top-k with the standard scatter-gather: each segment scores
+    its positive candidates, demotes the negative matchers (one
+    ``np.isin`` against the segment's negative-candidate ids — the
+    demotion happens BEFORE the local top-k cut, so the per-segment
+    top-k is a superset-safe merge input), and emits only its local
+    top-k; the driver merge is the shared
+    :func:`~vframe_ray.index.searcher._merge_topk_driver`.
+    """
+    return run_mode(open_index(index_dir, cfg, predicates), "boosting",
+                    queries, predicates)
+
+
+def top_hits_index(index_dir: str, queries: list[dict], facet_col: str,
+                   cfg: EngineConfig | None = None, *,
+                   predicates: list[str] | None = None) -> pa.Table:
+    """ES ``top_hits`` aggregation: per query and FACET VALUE, the
+    top-``h`` matching docs by BM25 — "the best examples in every
+    category" in one call.
+
+    queries: [{"query_id", "query_text", "h"}] →
+    (query_id, facet, rank, conv_id, turn_idx, score) sorted by
+    (query_id, facet, rank); rank order (score desc, conv_id,
+    turn_idx) within its (query, facet) bucket.  Exact: each segment
+    emits ≤ h rows per (query, facet) (a doc's facet value is a docmap
+    attribute, constant across segments), the driver merges
+    ≤ h · segments · facets rows per query.
+    """
+    return run_mode(open_index(index_dir, cfg, predicates), "top_hits",
+                    queries, predicates, facet_col=facet_col)
+
+
+def search_federated(index_dirs: list[str], queries: list[dict],
+                     cfg: EngineConfig | None = None, *,
+                     use_bmw: bool = True,
+                     predicates: list[str] | None = None) -> pa.Table:
+    """Federated top-k search over SEVERAL indexes as one logical
+    corpus — the cross-cluster-search analog, and the query-side
+    complement of :func:`~vframe_ray.index.merge.merge_indexes` /
+    ``extend_index`` (those rewrite bytes; this rewrites nothing).
+
+    Corpus statistics are combined exactly — N = Σ n_docs,
+    avgdl = Σ total_len / Σ n_docs, df(t) = Σ per-index df(t) — and
+    every segment of every index scores against the COMBINED stats, so
+    the result is value-identical to a single index built over the
+    union corpus (asserted in tests and by the ``bm25_federated``
+    SQL oracle, which is the plain full-corpus BM25 oracle).  The
+    scatter-gather is the ordinary one: per-segment top-k tasks over
+    the union segment list, ≤ k·ΣS driver-merged rows.
+
+    The indexes must share analyzer/BM25 config (same rule as segment
+    merge, index/compact.py) and hold disjoint doc spaces — federation
+    over partitions of a corpus, not replicas.
+    """
+    return _search(open_indexes(index_dirs, cfg, predicates), queries,
+                   use_bmw=use_bmw, predicates=predicates)
+
+
+# ------------------------------------------------ dictionary expansions
 def expand_prefix_terms(index_dir: str, prefixes: list[str]
                         ) -> dict[str, list[str]]:
     """Expand prefixes against the GLOBAL term dictionary in one pruned
@@ -573,403 +544,11 @@ def search_prefix_index(index_dir: str, queries: list[dict],
     which this delegates after expansion (one tiny dictionary range
     read; everything downstream — scoring paths, predicates, collapse,
     merge — is the plain machinery)."""
-    from .build import load_index_meta
-    cfg_dict, _stats, _segs = load_index_meta(index_dir)
-    eff = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    tok = Tokenizer(eff.analyzer)
-    per_q, all_prefixes = _parse_wildcard_queries(tok, queries)
-    plain = _expand_wildcards(index_dir, per_q, all_prefixes)
-    return search_index(index_dir, plain, cfg, predicates=predicates,
+    ix = open_index(index_dir, cfg)
+    per_q, all_prefixes = _parse_wildcard_queries(ix.tok, queries)
+    plain = _expand_wildcards(ix.dir, per_q, all_prefixes)
+    return search_index(ix.dir, plain, cfg, predicates=predicates,
                         collapse=collapse)
-
-
-def facet_counts_index(index_dir: str, queries: list[dict],
-                       facet_col: str,
-                       cfg: EngineConfig | None = None, *,
-                       predicates: list[str] | None = None) -> pa.Table:
-    """Distributed faceted search: per-segment match-set facet partials
-    (≤ queries × facet-cardinality rows per segment, already reduced),
-    summed in one tiny driver groupby — the maximally pre-aggregated
-    combiner shape, no shuffle.
-
-    queries: [{"query_id", "query_text"}] →
-    table (query_id, facet, n) sorted by (query_id, facet)."""
-    from .build import load_index_meta
-    cfg_dict, _stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    if predicates:
-        validate_predicates(index_dir, predicates)
-    tok = Tokenizer(cfg.analyzer)
-    parsed = [(int(q["query_id"]), sorted(set(tok.tokenize(q["query_text"]))))
-              for q in queries]
-    parsed_ref = ray.put(parsed)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    block_size = cfg.index.block_size
-
-    def _task(batch: pa.Table) -> pa.Table:
-        qs = ray.get(parsed_ref)
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), 1, 1.0,
-                                {}, block_size=block_size)
-            tables.append(s.facet_counts(qs, facet_col,
-                                         predicates=predicates))
-        return pa.concat_tables(tables)
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    parts = seg_ds.map_batches(_task, batch_format="pyarrow",
-                               batch_size=seg_batch).to_pandas()
-    schema = pa.schema([("query_id", pa.int32()), ("facet", pa.string()),
-                        ("n", pa.int64())])
-    if parts.empty:
-        return pa.table({f.name: [] for f in schema}, schema=schema)
-    out = parts.groupby(["query_id", "facet"], as_index=False)["n"].sum() \
-        .sort_values(["query_id", "facet"])
-    return pa.Table.from_pandas(out, preserve_index=False).cast(schema)
-
-
-def search_after_index(index_dir: str, queries: list[dict],
-                       cfg: EngineConfig | None = None, *,
-                       predicates: list[str] | None = None) -> pa.Table:
-    """Distributed cursor (search_after) pagination: queries
-    [{"query_id", "query_text", "k", "after": (score, conv_id,
-    turn_idx)}] → the k results ranked strictly after the cursor in the
-    global (score desc, conv_id, turn_idx) order.  Each segment emits
-    only k rows however deep the page — the scale advantage over
-    ``offset=`` (which over-fetches offset+k per segment)."""
-    from .build import load_index_meta
-    cfg_dict, stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    if predicates:
-        validate_predicates(index_dir, predicates)
-    tok = Tokenizer(cfg.analyzer)
-    parsed = [(int(q["query_id"]),
-               sorted(set(tok.tokenize(q["query_text"]))),
-               int(q.get("k", 10)),
-               (float(q["after"][0]), str(q["after"][1]),
-                int(q["after"][2])))
-              for q in queries]
-    all_terms = set().union(*[set(t) for _, t, _, _ in parsed]) if parsed \
-        else set()
-    gdf = _global_df_for_terms(index_dir, all_terms)
-    n_docs, avgdl = stats["n_docs"], stats["avgdl"]
-    parsed_ref = ray.put(parsed)
-    gdf_ref = ray.put(gdf)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    block_size = cfg.index.block_size
-
-    def _task(batch: pa.Table) -> pa.Table:
-        qs = ray.get(parsed_ref)
-        gdf_l = ray.get(gdf_ref)
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), n_docs,
-                                avgdl, gdf_l, block_size=block_size)
-            tables.append(s.search_after(qs, predicates=predicates))
-        return pa.concat_tables(tables)
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    hits = seg_ds.map_batches(_task, batch_format="pyarrow",
-                              batch_size=seg_batch)
-    merged = _merge_topk_driver(hits.to_pandas(),
-                                {qid: k for qid, _, k, _ in parsed})
-    out = pa.Table.from_pandas(
-        merged.sort_values(["query_id", "rank"]), preserve_index=False)
-    return out.cast(_RESULT_SCHEMA)
-
-
-def export_matches(index_dir: str, queries: list[dict],
-                   cfg: EngineConfig | None = None, *,
-                   predicates: list[str] | None = None):
-    """Streaming export of the FULL match set (no top-k cut): every doc
-    containing ≥1 query term, with its exact BM25 score — the
-    "select matching docs into a training subset" operator.  Returns a
-    lazy ``ray.data.Dataset`` of (query_id, conv_id, turn_idx, score)
-    whose blocks are produced per segment: consume with
-    ``write_parquet`` / ``iter_batches``; nothing is materialized on
-    the driver however large the match set.
-
-    Reference analog: `pipe open` + skip predicates feeding a sink —
-    the whole-corpus filtered export path (open.py:93-116), here with
-    scores attached."""
-    from .build import load_index_meta
-    cfg_dict, stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    if predicates:
-        validate_predicates(index_dir, predicates)
-    tok = Tokenizer(cfg.analyzer)
-    parsed = [(int(q["query_id"]),
-               sorted(set(tok.tokenize(q["query_text"]))))
-              for q in queries]
-    all_terms = set().union(*[set(t) for _, t in parsed]) if parsed \
-        else set()
-    gdf = _global_df_for_terms(index_dir, all_terms)
-    n_docs, avgdl = stats["n_docs"], stats["avgdl"]
-    parsed_ref = ray.put(parsed)
-    gdf_ref = ray.put(gdf)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    block_size = cfg.index.block_size
-
-    def _task(batch: pa.Table) -> pa.Table:
-        qs = ray.get(parsed_ref)
-        gdf_l = ray.get(gdf_ref)
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), n_docs,
-                                avgdl, gdf_l, block_size=block_size)
-            postings = s.load_terms_cached(
-                sorted(set().union(*[set(t) for _, t in qs]))
-                if qs else [])
-            doc_mask = s._base_mask(predicates)
-            for qid, terms in qs:
-                cand, scores = s._sparse_scores(terms, postings,
-                                                doc_mask=doc_mask)
-                if cand.size == 0:
-                    continue
-                idx = pa.array(cand)
-                tables.append(pa.table({
-                    "query_id": pa.array(
-                        np.full(cand.size, qid, dtype=np.int32)),
-                    "conv_id": pc.cast(s.r.conv_id.take(idx),
-                                       pa.string()),
-                    "turn_idx": pc.cast(s.r.turn_idx.take(idx),
-                                        pa.int32()),
-                    "score": pa.array(scores, pa.float64()),
-                }))
-        if not tables:
-            return pa.table({"query_id": pa.array([], pa.int32()),
-                             "conv_id": pa.array([], pa.string()),
-                             "turn_idx": pa.array([], pa.int32()),
-                             "score": pa.array([], pa.float64())})
-        return pa.concat_tables(tables)
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    return seg_ds.map_batches(_task, batch_format="pyarrow",
-                              batch_size=seg_batch)
-
-
-def explain_index(index_dir: str, queries: list[dict],
-                  cfg: EngineConfig | None = None, *,
-                  predicates: list[str] | None = None) -> pa.Table:
-    """Score explanation (Lucene ``explain`` analog): for each query's
-    GLOBAL top-k docs, one row per contributing term with its exact
-    BM25 contribution — the sum of a doc's rows is bit-exactly its
-    ranked score (same expression, same float association).
-
-    Two phases: (1) the ordinary distributed top-k search fixes the
-    doc set; (2) one more per-segment pass decomposes scores for just
-    those ≤ queries·k docs (broadcast hit set, postings tf looked up by
-    searchsorted).  Returns (query_id, rank, conv_id, turn_idx, term,
-    contrib) sorted by (query_id, rank, term)."""
-    from .build import load_index_meta
-    cfg_dict, stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    tok = Tokenizer(cfg.analyzer)
-    top = search_index(index_dir, queries, cfg, predicates=predicates)
-    parsed = [(int(q["query_id"]),
-               sorted(set(tok.tokenize(q["query_text"]))))
-              for q in queries]
-    all_terms = set().union(*[set(t) for _, t in parsed]) if parsed \
-        else set()
-    gdf = _global_df_for_terms(index_dir, all_terms)
-    n_docs, avgdl = stats["n_docs"], stats["avgdl"]
-    # broadcast the (query, doc, rank) hit set; conv_id keys the segment
-    hits_ref = ray.put(top.select(["query_id", "rank", "conv_id",
-                                   "turn_idx"]))
-    parsed_ref = ray.put(parsed)
-    gdf_ref = ray.put(gdf)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    block_size = cfg.index.block_size
-    schema = pa.schema([("query_id", pa.int32()), ("rank", pa.int32()),
-                        ("conv_id", pa.string()), ("turn_idx", pa.int32()),
-                        ("term", pa.string()), ("contrib", pa.float64())])
-
-    def _task(batch: pa.Table) -> pa.Table:
-        from .codec import decode_all
-        qs = ray.get(parsed_ref)
-        gdf_l = ray.get(gdf_ref)
-        hits = ray.get(hits_ref)
-        out = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), n_docs,
-                                avgdl, gdf_l, block_size=block_size)
-            # segment-resident hit docs: vectorized (conv, turn) ->
-            # doc_local via one pandas merge (no per-doc Python)
-            seg_keys = pd.DataFrame({
-                "conv_id": s.r.conv_id.to_pandas(),
-                "turn_idx": s.r.turn_idx.to_pandas(),
-                "_loc": np.arange(s.r.n_docs, dtype=np.int64)})
-            resident = hits.to_pandas().merge(seg_keys,
-                                              on=["conv_id", "turn_idx"],
-                                              how="inner")
-            if resident.empty:
-                continue
-            postings = s.load_terms_cached(
-                sorted(set().union(*[set(t) for _, t in qs]))
-                if qs else [])
-            qterms = dict(qs)
-            for row in resident.to_dict("records"):   # <= queries*k rows
-                loc = int(row["_loc"])
-                for t in qterms[row["query_id"]]:
-                    tp = postings.get(t)
-                    if tp is None:
-                        continue
-                    docs, tfs = s._decode_cached(t, tp)
-                    j = np.searchsorted(docs, loc)
-                    if j >= docs.size or docs[j] != loc:
-                        continue              # term absent from this doc
-                    contrib = s.idf.get(t, 0.0) \
-                        * (tfs[j] * (bm25_dict["k1"] + 1.0)) \
-                        / (tfs[j] + s.norm[loc])
-                    out.append((row["query_id"], row["rank"],
-                                row["conv_id"], row["turn_idx"], t,
-                                float(contrib)))
-        if not out:
-            return pa.table({f.name: [] for f in schema}, schema=schema)
-        cols = list(zip(*out))
-        return pa.table({
-            "query_id": pa.array(cols[0], pa.int32()),
-            "rank": pa.array(cols[1], pa.int32()),
-            "conv_id": pa.array(cols[2], pa.string()),
-            "turn_idx": pa.array(cols[3], pa.int32()),
-            "term": pa.array(cols[4], pa.string()),
-            "contrib": pa.array(cols[5], pa.float64()),
-        })
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    res = seg_ds.map_batches(_task, batch_format="pyarrow",
-                             batch_size=seg_batch).to_pandas()
-    if res.empty:
-        return pa.table({f.name: [] for f in schema}, schema=schema)
-    out = pa.Table.from_pandas(
-        res.sort_values(["query_id", "rank", "term"]),
-        preserve_index=False).cast(schema)
-    return out
-
-
-def parse_boosted_query(tok: Tokenizer, query_text: str
-                        ) -> list[tuple[str, float]]:
-    """Parse ``term^2.5`` boost syntax: each whitespace chunk may end in
-    ``^<positive float>``; the boost applies to every analyzed token of
-    the chunk, default 1.0.  The same term mentioned twice keeps the
-    LAST boost (dict semantics, mirrored in the SQL oracle)."""
-    out: dict[str, float] = {}
-    for raw in query_text.split():
-        boost = 1.0
-        word = raw
-        if "^" in raw:
-            word, _, bs = raw.rpartition("^")
-            try:
-                boost = float(bs)
-            except ValueError:
-                word = raw
-                boost = 1.0
-        if boost <= 0.0:
-            raise ValueError(f"boost must be > 0, got {boost!r} in "
-                             f"{raw!r} (non-positive boosts break the "
-                             f"positive-contribution pruning invariants)")
-        for t in tok.tokenize(word):
-            out[t] = boost
-    return sorted(out.items())
-
-
-def search_boosted_index(index_dir: str, queries: list[dict],
-                         cfg: EngineConfig | None = None, *,
-                         predicates: list[str] | None = None) -> pa.Table:
-    """Distributed per-term boosted search: boost multiplies the term's
-    whole BM25 contribution via an effective idf (boost · idf), reusing
-    the exact TAAT scorer per segment (SegmentSearcher.search_boosted).
-
-    queries: [{"query_id", "query_text", "k"}] with ``term^2.5``
-    syntax → (query_id, rank, conv_id, turn_idx, score)."""
-    from .build import load_index_meta
-    cfg_dict, stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    if predicates:
-        validate_predicates(index_dir, predicates)
-    tok = Tokenizer(cfg.analyzer)
-    parsed = [(int(q["query_id"]),
-               parse_boosted_query(tok, str(q["query_text"])),
-               int(q.get("k", 10))) for q in queries]
-    all_terms = set(t for _, tb, _ in parsed for t, _ in tb)
-    gdf = _global_df_for_terms(index_dir, all_terms)
-    n_docs, avgdl = stats["n_docs"], stats["avgdl"]
-    base_idf = {t: idf(n_docs, df) for t, df in gdf.items()}
-    parsed_ref = ray.put(parsed)
-    idf_ref = ray.put(base_idf)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    block_size = cfg.index.block_size
-
-    def _task(batch: pa.Table) -> pa.Table:
-        qs = ray.get(parsed_ref)
-        bidf = ray.get(idf_ref)
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), n_docs,
-                                avgdl, {}, block_size=block_size)
-            tables.append(s.search_boosted(qs, bidf,
-                                           predicates=predicates))
-        return pa.concat_tables(tables)
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    hits = seg_ds.map_batches(_task, batch_format="pyarrow",
-                              batch_size=seg_batch)
-    merged = _merge_topk_driver(hits.to_pandas(),
-                                {qid: k for qid, _, k in parsed})
-    out = pa.Table.from_pandas(
-        merged.sort_values(["query_id", "rank"]), preserve_index=False)
-    return out.cast(_RESULT_SCHEMA)
-
-
-def facet_ranges_index(index_dir: str, queries: list[dict],
-                       bin_width: int = 16,
-                       cfg: EngineConfig | None = None, *,
-                       predicates: list[str] | None = None) -> pa.Table:
-    """Distributed RANGE facets: per-query doc-length histogram over the
-    full match set (bin_lo = (dl // bin_width) · bin_width).  Identical
-    shape to :func:`facet_counts_index` — per-segment partials are
-    already ≤ queries × bins rows, one tiny driver sum, no shuffle.
-
-    queries: [{"query_id", "query_text"}] →
-    table (query_id, bin_lo, n) sorted by (query_id, bin_lo)."""
-    from .build import load_index_meta
-    cfg_dict, _stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    if predicates:
-        validate_predicates(index_dir, predicates)
-    tok = Tokenizer(cfg.analyzer)
-    parsed = [(int(q["query_id"]), sorted(set(tok.tokenize(q["query_text"]))))
-              for q in queries]
-    parsed_ref = ray.put(parsed)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    block_size = cfg.index.block_size
-
-    def _task(batch: pa.Table) -> pa.Table:
-        qs = ray.get(parsed_ref)
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), 1, 1.0,
-                                {}, block_size=block_size)
-            tables.append(s.facet_range_counts(qs, bin_width,
-                                               predicates=predicates))
-        return pa.concat_tables(tables)
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    parts = seg_ds.map_batches(_task, batch_format="pyarrow",
-                               batch_size=seg_batch).to_pandas()
-    schema = pa.schema([("query_id", pa.int32()), ("bin_lo", pa.int64()),
-                        ("n", pa.int64())])
-    if parts.empty:
-        return pa.table({f.name: [] for f in schema}, schema=schema)
-    out = parts.groupby(["query_id", "bin_lo"], as_index=False)["n"].sum() \
-        .sort_values(["query_id", "bin_lo"])
-    return pa.Table.from_pandas(out, preserve_index=False).cast(schema)
 
 
 def _mlt_seed_tfs(tok: Tokenizer, seeds: list[dict]
@@ -1033,73 +612,18 @@ def more_like_this_index(index_dir: str, seeds: list[dict],
     over-fetches k+1 per query then trims, so the returned top-k is
     exact.  Term selection reads only the seed terms' dictionary rows
     (one pruned lookup), never the corpus."""
-    from .build import load_index_meta
-    cfg_dict, stats, _segs = load_index_meta(index_dir)
-    eff = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    tok = Tokenizer(eff.analyzer)
-    seed_tfs, all_terms = _mlt_seed_tfs(tok, seeds)
-    gdf = _global_df_for_terms(index_dir, all_terms)
-    plain = _mlt_plain_queries(seed_tfs, seeds, gdf, stats["n_docs"],
-                               max_query_terms)
-    res = search_index(index_dir, plain, cfg, predicates=predicates)
+    ix = open_index(index_dir, cfg)
+    seed_tfs, all_terms = _mlt_seed_tfs(ix.tok, seeds)
+    plain = _mlt_plain_queries(seed_tfs, seeds, ix.df(all_terms),
+                               ix.stats["n_docs"], max_query_terms)
+    res = search_index(ix.dir, plain, cfg, predicates=predicates)
     return _mlt_trim_excluded(res, seeds)
 
 
-def match_counts_index(index_dir: str, queries: list[dict],
-                       cfg: EngineConfig | None = None, *,
-                       predicates: list[str] | None = None) -> pa.Table:
-    """Distributed total-hit counts: per-segment (query_id, n) partials
-    (docs are disjoint across segments, so partials sum exactly) merged
-    in one tiny driver groupby.  Queries with no matches report n = 0.
-
-    queries: [{"query_id", "query_text"}] → (query_id, n) sorted."""
-    from .build import load_index_meta
-    cfg_dict, _stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    if predicates:
-        validate_predicates(index_dir, predicates)
-    tok = Tokenizer(cfg.analyzer)
-    parsed = [(int(q["query_id"]), sorted(set(tok.tokenize(q["query_text"]))))
-              for q in queries]
-    parsed_ref = ray.put(parsed)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    block_size = cfg.index.block_size
-
-    def _task(batch: pa.Table) -> pa.Table:
-        qs = ray.get(parsed_ref)
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), 1, 1.0,
-                                {}, block_size=block_size)
-            tables.append(s.match_counts(qs, predicates=predicates))
-        return pa.concat_tables(tables)
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    parts = seg_ds.map_batches(_task, batch_format="pyarrow",
-                               batch_size=seg_batch).to_pandas()
-    sums = parts.groupby("query_id")["n"].sum() if not parts.empty else {}
-    qids = sorted(qid for qid, _ in parsed)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int32()),
-        "n": pa.array([int(sums.get(q, 0)) for q in qids], pa.int64()),
-    })
-
-
-def search_synonym_index(index_dir: str, queries: list[dict],
-                         synonyms: dict[str, list[str]],
-                         cfg: EngineConfig | None = None, *,
-                         predicates: list[str] | None = None) -> pa.Table:
-    """Query-time synonym expansion: each analyzed query term is
-    replaced by {term} ∪ synonyms[term] (synonym values are analyzed
-    too), then the union scores as a plain multi-term query — per-term
-    idf, like prefix expansion.  ``synonyms`` is user config (the
-    reference's label-alias map pattern), so it broadcasts with the
-    query, no data pass."""
-    from .build import load_index_meta
-    cfg_dict, _stats, _segs = load_index_meta(index_dir)
-    eff = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    tok = Tokenizer(eff.analyzer)
+def _synonym_plain_queries(tok: Tokenizer, queries: list[dict],
+                           synonyms: dict[str, list[str]]) -> list[dict]:
+    """Shared synonym rewrite (one-shot and QueryService): each analyzed
+    term becomes {term} ∪ synonyms[term], values analyzed too."""
     syn_norm: dict[str, list[str]] = {}
     for k, vals in synonyms.items():
         kt = tok.tokenize(k)
@@ -1115,14 +639,46 @@ def search_synonym_index(index_dir: str, queries: list[dict],
         plain.append({"query_id": int(q["query_id"]),
                       "query_text": " ".join(sorted(terms)),
                       "k": int(q.get("k", 10))})
-    return search_index(index_dir, plain, cfg, predicates=predicates)
+    return plain
+
+
+def search_synonym_index(index_dir: str, queries: list[dict],
+                         synonyms: dict[str, list[str]],
+                         cfg: EngineConfig | None = None, *,
+                         predicates: list[str] | None = None) -> pa.Table:
+    """Query-time synonym expansion: each analyzed query term is
+    replaced by {term} ∪ synonyms[term] (synonym values are analyzed
+    too), then the union scores as a plain multi-term query — per-term
+    idf, like prefix expansion.  ``synonyms`` is user config (the
+    reference's label-alias map pattern), so it broadcasts with the
+    query, no data pass."""
+    ix = open_index(index_dir, cfg)
+    plain = _synonym_plain_queries(ix.tok, queries, synonyms)
+    return search_index(ix.dir, plain, cfg, predicates=predicates)
 
 
 # Fuzzy expansion lives in .fuzzy: the SymSpell deletion-table path
 # (default, sublinear per query) plus the linear-scan oracle.  Re-export
 # here for the established import surface.
-from .fuzzy import (_levenshtein_within, expand_fuzzy_terms,  # noqa: F401
+from .fuzzy import (_levenshtein_within, expand_fuzzy_terms,  # noqa: F401,E402
                     expand_fuzzy_terms_scan)
+
+
+def _fuzzy_plain_queries(index_dirs: list[str], tok: Tokenizer,
+                         queries: list[dict], max_edits: int) -> list[dict]:
+    """Shared fuzzy rewrite: every term expands to the dictionary terms
+    within ``max_edits`` (federated: the union over the dictionaries)."""
+    parsed = [(int(q["query_id"]),
+               sorted(set(tok.tokenize(str(q.get("query_text", ""))))),
+               int(q.get("k", 10))) for q in queries]
+    all_terms = sorted({t for _, ts, _ in parsed for t in ts})
+    expansion: dict[str, set] = {t: set() for t in all_terms}
+    for d in index_dirs:
+        for t, cs in expand_fuzzy_terms(d, all_terms, max_edits).items():
+            expansion[t].update(cs)
+    return [{"query_id": qid, "k": k, "query_text": " ".join(sorted(
+        set().union(*(expansion[t] for t in terms))))}
+        for qid, terms, k in parsed]
 
 
 def search_fuzzy_index(index_dir: str, queries: list[dict],
@@ -1132,24 +688,9 @@ def search_fuzzy_index(index_dir: str, queries: list[dict],
     """Fuzzy search: every query term expands to the dictionary terms
     within ``max_edits`` Levenshtein distance (itself included when
     present), and the union scores as a plain multi-term query."""
-    from .build import load_index_meta
-    cfg_dict, _stats, _segs = load_index_meta(index_dir)
-    eff = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    tok = Tokenizer(eff.analyzer)
-    parsed = [(int(q["query_id"]),
-               sorted(set(tok.tokenize(str(q.get("query_text", ""))))),
-               int(q.get("k", 10))) for q in queries]
-    all_terms = sorted(set().union(*[set(t) for _, t, _ in parsed])
-                       ) if parsed else []
-    expansion = expand_fuzzy_terms(index_dir, all_terms, max_edits)
-    plain = []
-    for qid, terms, k in parsed:
-        ex = set()
-        for t in terms:
-            ex.update(expansion[t])
-        plain.append({"query_id": qid, "query_text": " ".join(sorted(ex)),
-                      "k": k})
-    return search_index(index_dir, plain, cfg, predicates=predicates)
+    ix = open_index(index_dir, cfg)
+    plain = _fuzzy_plain_queries(ix.dirs, ix.tok, queries, max_edits)
+    return search_index(ix.dir, plain, cfg, predicates=predicates)
 
 
 def expand_like_patterns(index_dir: str, patterns: list[str]
@@ -1259,65 +800,10 @@ def search_like_index(index_dir: str, queries: list[dict],
     expand against the dictionary, then the term union scores as a
     plain multi-term query with per-term idf — same delegation shape
     as prefix/fuzzy/synonym search."""
-    from .build import load_index_meta
-    cfg_dict, _stats, _segs = load_index_meta(index_dir)
-    eff = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    tok = Tokenizer(eff.analyzer)
-    plain = _like_plain_queries(index_dir, tok, queries)
-    return search_index(index_dir, plain, cfg, predicates=predicates,
+    ix = open_index(index_dir, cfg)
+    plain = _like_plain_queries(ix.dir, ix.tok, queries)
+    return search_index(ix.dir, plain, cfg, predicates=predicates,
                         collapse=collapse)
-
-
-def facet_stats_index(index_dir: str, queries: list[dict],
-                      facet_col: str,
-                      cfg: EngineConfig | None = None, *,
-                      predicates: list[str] | None = None) -> pa.Table:
-    """Faceted stats: per query and facet value, the match-set doc
-    count AND mean document length (the ES terms-aggregation with an
-    avg sub-metric).  Per-segment partials are INTEGER (n, Σdl) and
-    ≤ queries × facet-cardinality rows each — summed in one tiny
-    driver groupby; the mean is ONE float division, mirrored in the
-    SQL oracle.
-
-    queries: [{"query_id", "query_text"}] →
-    table (query_id, facet, n, avg_dl) sorted by (query_id, facet)."""
-    from .build import load_index_meta
-    cfg_dict, _stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    if predicates:
-        validate_predicates(index_dir, predicates)
-    tok = Tokenizer(cfg.analyzer)
-    parsed = [(int(q["query_id"]), sorted(set(tok.tokenize(q["query_text"]))))
-              for q in queries]
-    parsed_ref = ray.put(parsed)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    block_size = cfg.index.block_size
-
-    def _task(batch: pa.Table) -> pa.Table:
-        qs = ray.get(parsed_ref)
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), 1, 1.0,
-                                {}, block_size=block_size)
-            tables.append(s.facet_stats(qs, facet_col,
-                                        predicates=predicates))
-        return pa.concat_tables(tables)
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    parts = seg_ds.map_batches(_task, batch_format="pyarrow",
-                               batch_size=seg_batch).to_pandas()
-    schema = pa.schema([("query_id", pa.int32()), ("facet", pa.string()),
-                        ("n", pa.int64()), ("avg_dl", pa.float64())])
-    if parts.empty:
-        return pa.table({f.name: [] for f in schema}, schema=schema)
-    out = parts.groupby(["query_id", "facet"], as_index=False) \
-        .agg(n=("n", "sum"), dl_sum=("dl_sum", "sum"))
-    out["avg_dl"] = out["dl_sum"].to_numpy(np.int64) \
-        / out["n"].to_numpy(np.int64)
-    out = out[["query_id", "facet", "n", "avg_dl"]] \
-        .sort_values(["query_id", "facet"])
-    return pa.Table.from_pandas(out, preserve_index=False).cast(schema)
 
 
 def phrase_prefix_search_index(index_dir: str, queries: list[dict],
@@ -1340,15 +826,11 @@ def phrase_prefix_search_index(index_dir: str, queries: list[dict],
     Note: variants re-tokenize through the index analyzer; analyzer
     outputs are fixed points of the default and s-stem analyzers, so
     the join+retokenize round trip is identity."""
-    from .build import load_index_meta
-    cfg_dict, _stats, _segs = load_index_meta(index_dir)
-    eff = EngineConfig.from_dict(cfg_dict) if cfg is None \
-        else cfg.validate()
-    tok = Tokenizer(eff.analyzer)
-    parsed = [(int(q["query_id"]), tok.tokenize(str(q["phrase"])))
-              for q in queries]
+    ix = open_index(index_dir, cfg)
+    phrases = P.MODES["phrases"]
+    parsed = P.parse_queries(phrases.parse, ix.tok, queries)
     prefixes = sorted({t[-1] for _, t in parsed if t})
-    exp = expand_prefix_terms(index_dir, prefixes)
+    exp = expand_prefix_terms(ix.dir, prefixes)
     variants, owner = [], []
     for qid, terms in parsed:
         if not terms:
@@ -1357,21 +839,18 @@ def phrase_prefix_search_index(index_dir: str, queries: list[dict],
             variants.append({"query_id": len(variants),
                              "phrase": " ".join(terms[:-1] + [e])})
             owner.append(qid)
-    empty = pa.table({"query_id": pa.array([], pa.int32()),
-                      "conv_id": pa.array([], pa.string()),
-                      "turn_idx": pa.array([], pa.int32())})
     if not variants:
-        return empty
-    hits = phrase_search_index(index_dir, variants, cfg)
+        return phrases.schema.empty_table()
+    hits = phrase_search_index(ix.dir, variants, cfg)
     if not hits.num_rows:
-        return empty
+        return phrases.schema.empty_table()
     df = hits.to_pandas()
     df["query_id"] = np.array(owner, dtype=np.int32)[
         df["query_id"].to_numpy()]
     df = df.drop_duplicates(["query_id", "conv_id", "turn_idx"]) \
         .sort_values(["query_id", "conv_id", "turn_idx"])
     return pa.Table.from_pandas(df, preserve_index=False).cast(
-        empty.schema)
+        phrases.schema)
 
 
 def expand_regex_patterns(index_dir: str, patterns: list[str]
@@ -1459,12 +938,9 @@ def search_regex_index(index_dir: str, queries: list[dict],
     expression expanded against the dictionary, then the term union
     scores as a plain multi-term query with per-term idf — same
     delegation shape as prefix/wildcard/fuzzy/synonym search."""
-    from .build import load_index_meta
-    cfg_dict, _stats, _segs = load_index_meta(index_dir)
-    eff = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    tok = Tokenizer(eff.analyzer)
-    plain = _regex_plain_queries(index_dir, tok, queries)
-    return search_index(index_dir, plain, cfg, predicates=predicates,
+    ix = open_index(index_dir, cfg)
+    plain = _regex_plain_queries(ix.dir, ix.tok, queries)
+    return search_index(ix.dir, plain, cfg, predicates=predicates,
                         collapse=collapse)
 
 
@@ -1640,347 +1116,124 @@ def search_fields_index(fields: list[tuple[str, float]],
     return out.cast(_RESULT_SCHEMA)
 
 
-def search_boolean_index(index_dir: str, queries: list[dict],
-                         cfg: EngineConfig | None = None, *,
-                         predicates: list[str] | None = None) -> pa.Table:
-    """Distributed boolean (must/should/must_not) top-k search.
-
-    queries: [{"query_id", "must", "should", "must_not", "k"}] with the
-    three clause fields free text run through the index analyzer →
-    table (query_id, rank, conv_id, turn_idx, score) like
-    :func:`search_index`.  Semantics per :meth:`SegmentSearcher.
-    search_boolean`: docs must contain every must term and no must_not
-    term; score = BM25 over the present must∪should terms.  The
-    scatter-gather is identical to plain search — per-segment top-k
-    candidates, one driver merge over ≤ k·S rows — and sound because a
-    doc's full posting state lives in exactly one segment.
-    """
-    from .build import load_index_meta
-    cfg_dict, stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
-    if predicates:
-        validate_predicates(index_dir, predicates)
-    tok = Tokenizer(cfg.analyzer)
-
-    def _tok(s: str) -> list[str]:
-        return sorted(set(tok.tokenize(s or "")))
-
-    parsed = [(int(q["query_id"]), _tok(q.get("must", "")),
-               _tok(q.get("should", "")), _tok(q.get("must_not", "")),
-               int(q.get("k", 10)),
-               int(q.get("minimum_should_match", 0))) for q in queries]
-    score_terms = set().union(*[set(q[1]) | set(q[2])
-                                for q in parsed]) \
-        if parsed else set()
-    gdf = _global_df_for_terms(index_dir, score_terms)
-    n_docs, avgdl = stats["n_docs"], stats["avgdl"]
-    parsed_ref = ray.put(parsed)
-    gdf_ref = ray.put(gdf)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    block_size = cfg.index.block_size
-
-    def _task(batch: pa.Table) -> pa.Table:
-        qs = ray.get(parsed_ref)
-        gdf_l = ray.get(gdf_ref)
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), n_docs,
-                                avgdl, gdf_l, block_size=block_size)
-            tables.append(s.search_boolean(qs, predicates=predicates))
-        return pa.concat_tables(tables)
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    hits = seg_ds.map_batches(_task, batch_format="pyarrow",
-                              batch_size=seg_batch)
-    merged = _merge_topk_driver(hits.to_pandas(),
-                                {q[0]: q[4] for q in parsed})
-    out = pa.Table.from_pandas(
-        merged.sort_values(["query_id", "rank"]), preserve_index=False)
-    return out.cast(_RESULT_SCHEMA)
+# ------------------------------------------------------------ composites
+_HITS_SCHEMA = _RESULT_SCHEMA.remove(1)     # per-segment rows: no rank
 
 
-def function_score_index(index_dir: str, queries: list[dict],
-                         attr: str, weight: float = 0.2, *,
-                         predicates: list[str] | None = None) -> pa.Table:
-    """Function-score search (field_value_factor): ranks by
-    BM25 × (1 + weight·ln(1 + docmap ``attr``)) — the
-    attribute-boosted retrieval every freshness/popularity ranker runs.
-    Exact: per-segment every candidate is sparse-scored and rescaled
-    before its local top-k (WAND pruning is invalid under a per-doc
-    multiplier — see SegmentSearcher.search_function_score), then the
-    usual ≤ k·segments driver merge.
-
-    queries: [{"query_id", "query_text", "k"}] →
-    table (query_id, rank, conv_id, turn_idx, score)."""
-    from .build import load_index_meta
-    cfg_dict, stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict)
-    if predicates:
-        validate_predicates(index_dir, predicates)
-    # fail fast on an unknown attribute column (same pre-flight as
-    # predicate validation)
-    if seg_dirs:
-        cols = set(pq.read_schema(
-            os.path.join(seg_dirs[0], "docs.parquet")).names)
-        if attr not in cols:
-            raise ValueError(
-                f"function-score attribute {attr!r} not in docmap "
-                f"columns {sorted(cols)} (pass attribute_cols=[...] "
-                f"at build_index time)")
-    tok = Tokenizer(cfg.analyzer)
-    parsed = [(int(q["query_id"]),
-               sorted(set(tok.tokenize(q["query_text"]))),
-               int(q.get("k", 10))) for q in queries]
-    all_terms = set().union(*[set(t) for _, t, _ in parsed]) \
-        if parsed else set()
-    gdf = _global_df_for_terms(index_dir, all_terms)
-    parsed_ref = ray.put(parsed)
-    gdf_ref = ray.put(gdf)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    n_docs, avgdl = stats["n_docs"], stats["avgdl"]
-    block_size = cfg.index.block_size
-
-    def _task(batch: pa.Table) -> pa.Table:
-        qs = ray.get(parsed_ref)
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), n_docs,
-                                avgdl, ray.get(gdf_ref),
-                                block_size=block_size)
-            tables.append(s.search_function_score(
-                qs, attr, weight, predicates=predicates))
-        return pa.concat_tables(tables)
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    hits = seg_ds.map_batches(_task, batch_format="pyarrow",
-                              batch_size=seg_batch)
-    merged = _merge_topk_driver(hits.to_pandas(),
-                                {qid: k for qid, _t, k in parsed})
-    out = pa.Table.from_pandas(
-        merged.sort_values(["query_id", "rank"]), preserve_index=False)
-    return out.cast(_RESULT_SCHEMA)
-
-
-def search_federated(index_dirs: list[str], queries: list[dict],
-                     cfg: EngineConfig | None = None, *,
-                     use_bmw: bool = True,
-                     predicates: list[str] | None = None) -> pa.Table:
-    """Federated top-k search over SEVERAL indexes as one logical
-    corpus — the cross-cluster-search analog, and the query-side
-    complement of :func:`~vframe_ray.index.merge.merge_indexes` /
-    ``extend_index`` (those rewrite bytes; this rewrites nothing).
-
-    Corpus statistics are combined exactly — N = Σ n_docs,
-    avgdl = Σ total_len / Σ n_docs, df(t) = Σ per-index df(t) — and
-    every segment of every index scores against the COMBINED stats, so
-    the result is value-identical to a single index built over the
-    union corpus (asserted in tests and by the ``bm25_federated``
-    SQL oracle, which is the plain full-corpus BM25 oracle).  The
-    scatter-gather is the ordinary one: per-segment top-k tasks over
-    the union segment list, ≤ k·ΣS driver-merged rows.
-
-    The indexes must share analyzer/BM25 config (same rule as segment
-    merge, index/compact.py) and hold disjoint doc spaces — federation
-    over partitions of a corpus, not replicas.
-    """
-    from .build import load_index_meta
-    if not index_dirs:
-        raise ValueError("search_federated needs at least one index")
-    metas = [load_index_meta(d) for d in index_dirs]
-    cfg0 = EngineConfig.from_dict(metas[0][0]) if cfg is None \
-        else cfg.validate()
-    for d, (cfg_d, _s, _g) in zip(index_dirs[1:], metas[1:]):
-        other = EngineConfig.from_dict(cfg_d)
-        if (other.analyzer, other.bm25) != (cfg0.analyzer, cfg0.bm25):
-            raise ValueError(
-                f"incompatible index configs: {index_dirs[0]} vs {d} "
-                "(analyzer/BM25 params must be equal)")
-    if predicates:
-        for d in index_dirs:
-            validate_predicates(d, predicates)
-
-    n_docs = sum(m[1]["n_docs"] for m in metas)
-    total_len = sum(m[1]["total_len"] for m in metas)
-    avgdl = (total_len / n_docs) if n_docs else 0.0
-
-    tok = Tokenizer(cfg0.analyzer)
-    offsets = {int(q["query_id"]): int(q.get("offset", 0))
-               for q in queries}
-    parsed = [(int(q["query_id"]),
-               sorted(set(tok.tokenize(q["query_text"]))),
-               int(q.get("k", 10)) + int(q.get("offset", 0)))
-              for q in queries]
-    all_terms = set().union(*[set(t) for _, t, _ in parsed]) \
-        if parsed else set()
-    gdf: dict[str, int] = {}
-    for d in index_dirs:                      # df sums across indexes
-        for t, df in _global_df_for_terms(d, all_terms).items():
-            gdf[t] = gdf.get(t, 0) + df
-
-    parsed_ref = ray.put(parsed)
-    gdf_ref = ray.put(gdf)
-    bm25_dict = {"k1": cfg0.bm25.k1, "b": cfg0.bm25.b}
-    block_size = cfg0.index.block_size
-
-    def _task(batch: pa.Table) -> pa.Table:
-        stage = _SearcherStage(
-            queries_ref=parsed_ref, bm25_dict=bm25_dict, n_docs=n_docs,
-            avgdl=avgdl, gdf_ref=gdf_ref, use_bmw=use_bmw,
-            block_size=block_size, predicates=predicates)
-        return stage(batch)
-
-    seg_dirs = [s for m in metas for s in m[2]]
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    hits = seg_ds.map_batches(_task, batch_format="pyarrow",
-                              batch_size=seg_batch)
-    ks = {qid: k - offsets.get(qid, 0) for qid, _, k in parsed}
-    merged = _merge_topk_driver(hits.to_pandas(), ks,
-                                offsets if any(offsets.values())
-                                else None)
-    out = pa.Table.from_pandas(
-        merged.sort_values(["query_id", "rank"]), preserve_index=False)
-    return out.cast(_RESULT_SCHEMA)
-
-
-def search_boosting_index(index_dir: str, queries: list[dict],
-                          cfg: EngineConfig | None = None, *,
-                          predicates: list[str] | None = None
-                          ) -> pa.Table:
-    """Boosting query (the Elasticsearch ``boosting`` compound): rank
-    by the POSITIVE query's BM25 score, but docs matching the NEGATIVE
-    query keep their relevance demoted by ``negative_boost`` — softer
-    than must_not, which drops them outright.
-
-    queries: [{"query_id", "positive", "negative", "negative_boost",
-    "k"}] → (query_id, rank, conv_id, turn_idx, score), global order
-    (score desc, conv_id, turn_idx).
-
-    Exact top-k with the standard scatter-gather: each segment scores
-    its positive candidates, demotes the negative matchers (one
-    ``np.isin`` against the segment's negative-candidate ids — the
-    demotion happens BEFORE the local top-k cut, so the per-segment
-    top-k is a superset-safe merge input), and emits only its local
-    top-k; the driver merge is the shared
-    :func:`~vframe_ray.index.searcher._merge_topk_driver`.
-    """
-    from .build import load_index_meta
-    cfg_dict, stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None \
-        else cfg.validate()
-    if predicates:
-        validate_predicates(index_dir, predicates)
-    tok = Tokenizer(cfg.analyzer)
-    parsed = [(int(q["query_id"]),
-               sorted(set(tok.tokenize(q.get("positive", "")))),
-               sorted(set(tok.tokenize(q.get("negative", "")))),
-               float(q.get("negative_boost", 0.5)),
-               int(q.get("k", 10)))
-              for q in queries]
-    all_terms = set().union(*[set(p) | set(n) for _, p, n, _, _
-                              in parsed]) if parsed else set()
-    gdf = _global_df_for_terms(index_dir, all_terms)
-    n_docs, avgdl = stats["n_docs"], stats["avgdl"]
-    parsed_ref = ray.put(parsed)
-    gdf_ref = ray.put(gdf)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    block_size = cfg.index.block_size
-
-    def _task(batch: pa.Table) -> pa.Table:
-        qs = ray.get(parsed_ref)
-        gdf_l = ray.get(gdf_ref)
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), n_docs,
-                                avgdl, gdf_l, block_size=block_size)
-            tables.append(s.search_boosting(qs, predicates=predicates))
-        if not tables:
-            return pa.table({"query_id": pa.array([], pa.int32()),
-                             "conv_id": pa.array([], pa.string()),
-                             "turn_idx": pa.array([], pa.int32()),
-                             "score": pa.array([], pa.float64())})
-        return pa.concat_tables(tables)
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    hits = seg_ds.map_batches(_task, batch_format="pyarrow",
-                              batch_size=seg_batch)
-    ks = {qid: k for qid, _, _, _, k in parsed}
-    merged = _merge_topk_driver(hits.to_pandas(), ks)
-    return pa.Table.from_pandas(merged, preserve_index=False)
-
-
-def top_hits_index(index_dir: str, queries: list[dict], facet_col: str,
+def export_matches(index_dir: str, queries: list[dict],
                    cfg: EngineConfig | None = None, *,
-                   predicates: list[str] | None = None) -> pa.Table:
-    """ES ``top_hits`` aggregation: per query and FACET VALUE, the
-    top-``h`` matching docs by BM25 — "the best examples in every
-    category" in one call.
+                   predicates: list[str] | None = None):
+    """Streaming export of the FULL match set (no top-k cut): every doc
+    containing ≥1 query term, with its exact BM25 score — the
+    "select matching docs into a training subset" operator.  Returns a
+    lazy ``ray.data.Dataset`` of (query_id, conv_id, turn_idx, score)
+    whose blocks are produced per segment: consume with
+    ``write_parquet`` / ``iter_batches``; nothing is materialized on
+    the driver however large the match set.
 
-    queries: [{"query_id", "query_text", "h"}] →
-    (query_id, facet, rank, conv_id, turn_idx, score) sorted by
-    (query_id, facet, rank); rank order (score desc, conv_id,
-    turn_idx) within its (query, facet) bucket.  Exact: each segment
-    emits ≤ h rows per (query, facet) (a doc's facet value is a docmap
-    attribute, constant across segments), the driver merges
-    ≤ h · segments · facets rows per query.
-    """
-    import pandas as pd
+    Reference analog: `pipe open` + skip predicates feeding a sink —
+    the whole-corpus filtered export path (open.py:93-116), here with
+    scores attached."""
+    ix = open_index(index_dir, cfg, predicates)
+    parsed = P.parse_queries(P.parse_terms, ix.tok, queries)
+    idf_map = ix.idf_map({t for _, ts in parsed for t in ts})
+    return scatter_ds(ix, _export_segment, idf_map, parsed=parsed,
+                      predicates=predicates)
 
-    from .build import load_index_meta
-    cfg_dict, stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None \
-        else cfg.validate()
-    if predicates:
-        validate_predicates(index_dir, predicates)
-    tok = Tokenizer(cfg.analyzer)
-    parsed = [(int(q["query_id"]),
-               sorted(set(tok.tokenize(q["query_text"]))),
-               int(q.get("h", 3))) for q in queries]
-    all_terms = set().union(*[set(t) for _, t, _ in parsed]) \
-        if parsed else set()
-    gdf = _global_df_for_terms(index_dir, all_terms)
-    n_docs, avgdl = stats["n_docs"], stats["avgdl"]
-    parsed_ref = ray.put(parsed)
-    gdf_ref = ray.put(gdf)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    block_size = cfg.index.block_size
 
-    def _task(batch: pa.Table) -> pa.Table:
-        qs = ray.get(parsed_ref)
-        gdf_l = ray.get(gdf_ref)
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), n_docs,
-                                avgdl, gdf_l, block_size=block_size)
-            tables.append(s.top_hits_by_facet(qs, facet_col,
-                                              predicates=predicates))
-        return pa.concat_tables(tables)
+def _export_segment(s: SegmentSearcher, p: dict) -> pa.Table:
+    qs = p["parsed"]
+    postings = s.load_terms_cached(sorted({t for _, ts in qs for t in ts}))
+    doc_mask = s._base_mask(p["predicates"])
+    tables = []
+    for qid, terms in qs:
+        cand, scores = s._sparse_scores(terms, postings, doc_mask=doc_mask)
+        if cand.size == 0:
+            continue
+        idx = pa.array(cand)
+        tables.append(pa.table({
+            "query_id": pa.array(np.full(cand.size, qid, dtype=np.int32)),
+            "conv_id": pc.cast(s.r.conv_id.take(idx), pa.string()),
+            "turn_idx": pc.cast(s.r.turn_idx.take(idx), pa.int32()),
+            "score": pa.array(scores, pa.float64()),
+        }))
+    return pa.concat_tables(tables) if tables else _HITS_SCHEMA.empty_table()
 
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    df = seg_ds.map_batches(_task, batch_format="pyarrow",
-                            batch_size=seg_batch).to_pandas()
-    hs = {qid: h for qid, _, h in parsed}
-    out_schema = pa.schema([
-        ("query_id", pa.int32()), ("facet", pa.string()),
-        ("rank", pa.int32()), ("conv_id", pa.string()),
-        ("turn_idx", pa.int32()), ("score", pa.float64())])
-    if df.empty:
-        return pa.table({f.name: [] for f in out_schema},
-                        schema=out_schema)
-    df = df.sort_values(["query_id", "facet", "score", "conv_id",
-                         "turn_idx"],
-                        ascending=[True, True, False, True, True]) \
-        .reset_index(drop=True)
-    df["rank"] = (df.groupby(["query_id", "facet"], sort=False)
-                  .cumcount() + 1).astype("int32")
-    df = df[df["rank"] <= df["query_id"].map(hs)]
-    df = df[["query_id", "facet", "rank", "conv_id", "turn_idx",
-             "score"]].reset_index(drop=True)
-    return pa.Table.from_pandas(df, preserve_index=False).cast(out_schema)
+
+_EXPLAIN_SCHEMA = pa.schema([
+    ("query_id", pa.int32()), ("rank", pa.int32()), ("conv_id", pa.string()),
+    ("turn_idx", pa.int32()), ("term", pa.string()),
+    ("contrib", pa.float64())])
+
+
+def explain_index(index_dir: str, queries: list[dict],
+                  cfg: EngineConfig | None = None, *,
+                  predicates: list[str] | None = None) -> pa.Table:
+    """Score explanation (Lucene ``explain`` analog): for each query's
+    GLOBAL top-k docs, one row per contributing term with its exact
+    BM25 contribution — the sum of a doc's rows is bit-exactly its
+    ranked score (same expression, same float association).
+
+    Two phases: (1) the ordinary distributed top-k search fixes the
+    doc set; (2) one more per-segment pass decomposes scores for just
+    those ≤ queries·k docs (broadcast hit set, postings tf looked up by
+    searchsorted).  Returns (query_id, rank, conv_id, turn_idx, term,
+    contrib) sorted by (query_id, rank, term)."""
+    ix = open_index(index_dir, cfg)
+    top = search_index(ix.dir, queries, cfg, predicates=predicates)
+    parsed = P.parse_queries(P.parse_terms, ix.tok, queries)
+    idf_map = ix.idf_map({t for _, ts in parsed for t in ts})
+    # broadcast the (query, doc, rank) hit set; conv_id keys the segment
+    res = scatter(ix, _explain_segment, idf_map, parsed=parsed,
+                  hits=top.select(["query_id", "rank", "conv_id",
+                                   "turn_idx"]))
+    if res.empty:
+        return _EXPLAIN_SCHEMA.empty_table()
+    return pa.Table.from_pandas(
+        res.sort_values(["query_id", "rank", "term"]),
+        preserve_index=False).cast(_EXPLAIN_SCHEMA)
+
+
+def _explain_segment(s: SegmentSearcher, p: dict) -> pa.Table:
+    qs, k1 = p["parsed"], p["bm25"]["k1"]
+    # segment-resident hit docs: vectorized (conv, turn) -> doc_local via
+    # one pandas merge (no per-doc Python)
+    seg_keys = pd.DataFrame({
+        "conv_id": s.r.conv_id.to_pandas(),
+        "turn_idx": s.r.turn_idx.to_pandas(),
+        "_loc": np.arange(s.r.n_docs, dtype=np.int64)})
+    resident = p["hits"].to_pandas().merge(seg_keys,
+                                           on=["conv_id", "turn_idx"],
+                                           how="inner")
+    out = []
+    if not resident.empty:
+        postings = s.load_terms_cached(
+            sorted({t for _, ts in qs for t in ts}))
+        qterms = dict(qs)
+        for row in resident.to_dict("records"):   # <= queries*k rows
+            loc = int(row["_loc"])
+            for t in qterms[row["query_id"]]:
+                tp = postings.get(t)
+                if tp is None:
+                    continue
+                docs, tfs = s._decode_cached(t, tp)
+                j = np.searchsorted(docs, loc)
+                if j >= docs.size or docs[j] != loc:
+                    continue              # term absent from this doc
+                contrib = s.idf.get(t, 0.0) * (tfs[j] * (k1 + 1.0)) \
+                    / (tfs[j] + s.norm[loc])
+                out.append((row["query_id"], row["rank"], row["conv_id"],
+                            row["turn_idx"], t, float(contrib)))
+    if not out:
+        return _EXPLAIN_SCHEMA.empty_table()
+    return pa.table([pa.array(c, f.type) for c, f in
+                     zip(zip(*out), _EXPLAIN_SCHEMA)],
+                    schema=_EXPLAIN_SCHEMA)
+
+
+_EVAL_SCHEMA = pa.schema([("query_id", pa.int64()), ("n_rel", pa.int64()),
+                          ("n_ret", pa.int64()), ("ap_r", pa.float64()),
+                          ("ndcg_r", pa.float64()), ("mrr_r", pa.float64())])
 
 
 def retrieval_eval_index(index_dir: str, queries: list[dict],
@@ -2004,62 +1257,24 @@ def retrieval_eval_index(index_dir: str, queries: list[dict],
     per-segment conjunctive counts.  All metric arithmetic runs on the
     driver over ≤ queries·k rows.
     """
-    import pandas as pd
-
-    from .build import load_index_meta
-    cfg_dict, stats, seg_dirs = load_index_meta(index_dir)
-    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None \
-        else cfg.validate()
-    if predicates:
-        validate_predicates(index_dir, predicates)
-    tok = Tokenizer(cfg.analyzer)
-    parsed = [(int(q["query_id"]),
-               sorted(set(tok.tokenize(q["query_text"]))),
-               int(q.get("k", 10))) for q in queries]
-    all_terms = set().union(*[set(t) for _, t, _ in parsed]) \
-        if parsed else set()
-    gdf = _global_df_for_terms(index_dir, all_terms)
-    n_docs, avgdl = stats["n_docs"], stats["avgdl"]
-    parsed_ref = ray.put(parsed)
-    gdf_ref = ray.put(gdf)
-    bm25_dict = {"k1": cfg.bm25.k1, "b": cfg.bm25.b}
-    block_size = cfg.index.block_size
-
-    def _task(batch: pa.Table) -> pa.Table:
-        qs = ray.get(parsed_ref)
-        gdf_l = ray.get(gdf_ref)
-        hit_t, cnt_t = [], []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**bm25_dict), n_docs,
-                                avgdl, gdf_l, block_size=block_size)
-            hit_t.append(s.search_with_rel(qs, predicates=predicates))
-            cnt_t.append(s.must_counts(qs, predicates=predicates))
-        hits = pa.concat_tables(hit_t)
-        cnts = pa.concat_tables(cnt_t)
-        # ship both through one table: count rows carry rank sentinel
-        cnts = pa.table({
-            "query_id": cnts["query_id"],
-            "conv_id": pa.nulls(cnts.num_rows, pa.string()),
-            "turn_idx": pa.array(np.full(cnts.num_rows, -1, np.int32)),
-            "score": pc.cast(cnts["n"], pa.float64()),
-            "rel": pa.array(np.full(cnts.num_rows, -1, np.int8))})
-        return pa.concat_tables([hits, cnts])
-
-    seg_ds = ray.data.from_items([{"seg_dir": d} for d in seg_dirs])
-    seg_batch = max(1, len(seg_dirs) // 64)
-    df = seg_ds.map_batches(_task, batch_format="pyarrow",
-                            batch_size=seg_batch).to_pandas()
-    ks = {qid: k for qid, _, k in parsed}
-    is_cnt = df["rel"] == -1
-    n_rel = df[is_cnt].groupby("query_id")["score"].sum().astype(int)
-    merged = _merge_topk_driver(
-        df[~is_cnt].drop(columns="rel").copy(), ks)
-    # rel flags re-attach by (query, conv, turn) — unique result keys
-    rel_map = df[~is_cnt].set_index(
-        ["query_id", "conv_id", "turn_idx"])["rel"]
-    rel_map = rel_map[~rel_map.index.duplicated()]
-    merged["rel"] = rel_map.reindex(pd.MultiIndex.from_frame(
-        merged[["query_id", "conv_id", "turn_idx"]])).to_numpy()
+    ix = open_index(index_dir, cfg, predicates)
+    parsed = P.parse_queries(P.parse_ranked, ix.tok, queries)
+    idf_map = ix.idf_map({t for _, ts, _ in parsed for t in ts})
+    df = scatter(ix, _eval_segment, idf_map, parsed=parsed,
+                 predicates=predicates)
+    if df.empty:                     # no queries, or no segment
+        n_rel, merged = {}, pd.DataFrame({"query_id": [], "rel": []})
+    else:
+        is_cnt = df["rel"] == -1
+        n_rel = df[is_cnt].groupby("query_id")["score"].sum().astype(int)
+        merged = _merge_topk_driver(df[~is_cnt].drop(columns="rel").copy(),
+                                    {qid: k for qid, _, k in parsed})
+        # rel flags re-attach by (query, conv, turn) — unique result keys
+        rel_map = df[~is_cnt].set_index(
+            ["query_id", "conv_id", "turn_idx"])["rel"]
+        rel_map = rel_map[~rel_map.index.duplicated()]
+        merged["rel"] = rel_map.reindex(pd.MultiIndex.from_frame(
+            merged[["query_id", "conv_id", "turn_idx"]])).to_numpy()
     rows = []
     for qid, _terms, k in parsed:
         g = merged[merged["query_id"] == qid]
@@ -2080,7 +1295,20 @@ def retrieval_eval_index(index_dir: str, queries: list[dict],
             ap, ndcg, mrr = 0.0, 0.0, 0.0
         rows.append((qid, nr, len(rel), round(ap, 6), round(ndcg, 6),
                      round(mrr, 6)))
-    out = pd.DataFrame(rows, columns=["query_id", "n_rel", "n_ret",
-                                      "ap_r", "ndcg_r", "mrr_r"]) \
+    out = pd.DataFrame(rows, columns=_EVAL_SCHEMA.names) \
         .sort_values("query_id").reset_index(drop=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return pa.Table.from_pandas(out, preserve_index=False).cast(_EVAL_SCHEMA)
+
+
+def _eval_segment(s: SegmentSearcher, p: dict) -> pa.Table:
+    qs, preds = p["parsed"], p["predicates"]
+    hits = s.search_with_rel(qs, predicates=preds)
+    cnts = s.must_counts(qs, predicates=preds)
+    # ship both through one table: count rows carry rank sentinel
+    cnts = pa.table({
+        "query_id": cnts["query_id"],
+        "conv_id": pa.nulls(cnts.num_rows, pa.string()),
+        "turn_idx": pa.array(np.full(cnts.num_rows, -1, np.int32)),
+        "score": pc.cast(cnts["n"], pa.float64()),
+        "rel": pa.array(np.full(cnts.num_rows, -1, np.int8))})
+    return pa.concat_tables([hits, cnts])

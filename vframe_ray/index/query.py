@@ -1,14 +1,19 @@
 """Query surface facade.
 
-The round-3 monolith split into cohesive modules (VERDICT r3 next #6,
-no behavior change):
+The query engine is one mode table and its three consumers:
 
+- :mod:`.plan`        — the mode table: per mode, request parsing, the
+  terms it reads, its per-query k, the ``SegmentSearcher`` method that
+  runs it and its merge kind; plus the shared planner (duplicate-id
+  check), shard-level cut and driver merge;
+- :mod:`.scatter`     — one-shot execution: the shared prologue (one
+  alias resolve, meta, config, predicate check) and the scatter over
+  ephemeral Ray Data tasks;
+- :mod:`.service`     — served execution: resident shard actors and
+  QueryService;
+- :mod:`.entrypoints` — the one-shot ``*_index`` functions;
 - :mod:`.searcher`    — SegmentSearcher (BM25 full/sparse/BMW scorers,
   phrase/proximity/boolean/facet kernels) + driver-side top-k merge;
-- :mod:`.scatter`     — shared one-shot plumbing (_SearcherStage,
-  predicate pre-flight);
-- :mod:`.service`     — persistent shard actors + QueryService;
-- :mod:`.entrypoints` — the one-shot ``*_index`` functions;
 - :mod:`.fuzzy`       — SymSpell deletion-table + linear-scan fuzzy
   expansion.
 

@@ -1,49 +1,33 @@
-"""Shared scatter-gather plumbing for one-shot query entry points:
-the per-batch segment-scoring stage and the predicate pre-flight
-check.  Split out of the former index/query.py monolith (VERDICT r3
-next #6 — no behavior change)."""
+"""One-shot execution of the mode table (:mod:`.plan`): the shared
+prologue and the scatter over segments.
+
+:func:`open_indexes` is the prologue every one-shot ``*_index`` function
+runs: resolve each alias ONCE, load the metadata, build the config,
+validate the call-level predicates against that same generation and
+bind the tokenizer and the global-df lookup to it.  :func:`scatter`
+fans a per-segment function out over the segment list —
+``from_items`` → ``map_batches`` (one segment-batch rule) →
+``to_pandas`` — and :func:`run_mode` ties prologue, plan, scatter and
+the shared merge together for a table mode.
+"""
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
+from typing import Callable
 
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
+import ray.data
 
-from ..config import BM25Config
-from .searcher import SegmentSearcher
-
-
-class _SearcherStage:
-    """Actor: holds broadcast queries + global stats; scores each incoming
-    batch of segment paths."""
-
-    def __init__(self, queries_ref, bm25_dict: dict, n_docs: int,
-                 avgdl: float, gdf_ref, use_bmw: bool, block_size: int,
-                 predicates: list[str] | None = None,
-                 collapse: bool = False):
-        self.queries = ray.get(queries_ref)
-        self.gdf = ray.get(gdf_ref)
-        self.bm25 = BM25Config(**bm25_dict)
-        self.n_docs = n_docs
-        self.avgdl = avgdl
-        self.use_bmw = use_bmw
-        self.block_size = block_size
-        self.predicates = predicates
-        self.collapse = collapse
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, self.bm25, self.n_docs, self.avgdl,
-                                self.gdf, block_size=self.block_size)
-            tables.append(s.search(self.queries, use_bmw=self.use_bmw,
-                                   predicates=self.predicates,
-                                   collapse=self.collapse))
-        return pa.concat_tables(tables)
-
+from ..analyze import Tokenizer
+from ..config import BM25Config, EngineConfig
+from . import plan as P
+from .searcher import SegmentSearcher, _global_df_for_terms, idf
 
 
 def validate_predicates(index_dir: str, predicates: list[str]) -> None:
@@ -66,3 +50,138 @@ def validate_predicates(index_dir: str, predicates: list[str]) -> None:
                     f"(pass attribute_cols=[...] at build_index time)")
 
 
+@dataclass
+class Index:
+    """One generation of one or more indexes, resolved once.  Several
+    dirs = federation: N, total length and df sum across them."""
+    dirs: list[str]
+    cfg: EngineConfig
+    stats: dict
+    seg_dirs: list[str]
+    tok: Tokenizer
+
+    @property
+    def dir(self) -> str:
+        return self.dirs[0]
+
+    def validate(self, predicates: list[str]) -> None:
+        for d in self.dirs:           # attrs must exist in EVERY index
+            validate_predicates(d, predicates)
+
+    def df(self, terms: set[str]) -> dict[str, int]:
+        out: dict[str, int] = {}
+        for d in self.dirs:
+            for t, v in _global_df_for_terms(d, terms).items():
+                out[t] = out.get(t, 0) + v
+        return out
+
+    def idf_map(self, terms: set[str]) -> dict[str, float]:
+        n = self.stats["n_docs"]
+        return {t: idf(n, v)
+                for t, v in (self.df(terms) if terms else {}).items()}
+
+    def plan(self, mode: str, queries: list[dict], **opts) -> P.Request:
+        return P.plan(mode, self.tok, queries, self.validate, **opts)
+
+
+def open_indexes(index_dirs: list[str], cfg: EngineConfig | None = None,
+                 predicates: list[str] | None = None) -> Index:
+    """The one-shot prologue (also the service's constructor)."""
+    from ..state.manifest import alias_resolve
+    from .build import load_index_meta
+    if not index_dirs:
+        raise ValueError("a query needs at least one index")
+    dirs = [alias_resolve(d) for d in index_dirs]
+    metas = [load_index_meta(d) for d in dirs]
+    cfg_dict, stats, seg_dirs = metas[0]
+    cfg = EngineConfig.from_dict(cfg_dict) if cfg is None else cfg.validate()
+    for d, (cfg_d, _s, segs_d) in zip(dirs[1:], metas[1:]):
+        other = EngineConfig.from_dict(cfg_d)
+        if (other.analyzer, other.bm25) != (cfg.analyzer, cfg.bm25):
+            raise ValueError(
+                f"incompatible index configs: {dirs[0]} vs {d} "
+                "(analyzer/BM25 params must be equal)")
+        seg_dirs = seg_dirs + segs_d
+    if len(dirs) > 1:
+        n_docs = sum(m[1]["n_docs"] for m in metas)
+        total_len = sum(m[1]["total_len"] for m in metas)
+        stats = {"n_docs": n_docs, "total_len": total_len,
+                 "avgdl": (total_len / n_docs) if n_docs else 0.0}
+    ix = Index(dirs, cfg, stats, seg_dirs, Tokenizer(cfg.analyzer))
+    if predicates:
+        ix.validate(predicates)
+    return ix
+
+
+def open_index(index_dir: str, cfg: EngineConfig | None = None,
+               predicates: list[str] | None = None) -> Index:
+    return open_indexes([index_dir], cfg, predicates)
+
+
+class _SearcherStage:
+    """Runs ``fn(searcher, payload)`` on each segment of a batch of
+    segment paths; the payload (stats, idf map, predicates, op) is
+    broadcast once through the object store."""
+
+    def __init__(self, ref, fn: Callable):
+        self.p = ray.get(ref)
+        self.fn = fn
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        p = self.p
+        tables = []
+        for seg_dir in batch["seg_dir"].to_pylist():
+            s = SegmentSearcher(seg_dir, BM25Config(**p["bm25"]),
+                                p["n_docs"], p["avgdl"], {},
+                                block_size=p["block_size"])
+            s.idf = p["idf"]
+            tables.append(self.fn(s, p))
+        return pa.concat_tables(tables)
+
+
+def stage_kwargs(ix: Index, fn: Callable, idf_map: dict[str, float],
+                 **payload) -> dict:
+    """Constructor kwargs of :class:`_SearcherStage` for one call."""
+    p = dict(payload, idf=idf_map, n_docs=ix.stats["n_docs"],
+             avgdl=ix.stats["avgdl"], block_size=ix.cfg.index.block_size,
+             bm25={"k1": ix.cfg.bm25.k1, "b": ix.cfg.bm25.b})
+    return {"ref": ray.put(p), "fn": fn}
+
+
+def segment_ds(seg_dirs: list[str], fn: Callable) -> "ray.data.Dataset":
+    """``fn`` over batches of segment dirs as plain tasks, several
+    segments per task: launch overhead amortizes and the task count
+    stays ~O(cpus) even with hundreds of segments."""
+    return ray.data.from_items([{"seg_dir": d} for d in seg_dirs]) \
+        .map_batches(fn, batch_format="pyarrow",
+                     batch_size=max(1, len(seg_dirs) // 64))
+
+
+def scatter_ds(ix: Index, fn: Callable, idf_map: dict[str, float],
+               **payload) -> "ray.data.Dataset":
+    """Per-segment ``fn(searcher, payload)`` over ``ix``'s segments."""
+    kw = stage_kwargs(ix, fn, idf_map, **payload)
+
+    def _task(batch: pa.Table) -> pa.Table:
+        return _SearcherStage(**kw)(batch)
+
+    return segment_ds(ix.seg_dirs, _task)
+
+
+def scatter(ix: Index, fn: Callable, idf_map: dict[str, float],
+            **payload) -> pd.DataFrame:
+    return scatter_ds(ix, fn, idf_map, **payload).to_pandas()
+
+
+def run_op_segment(s: SegmentSearcher, p: dict) -> pa.Table:
+    return P.run_op(s, p["op"], p["predicates"])
+
+
+def run_mode(ix: Index, mode: str, queries: list[dict],
+             predicates: list[str] | None = None, **opts) -> pa.Table:
+    """Plan, one df lookup, scatter and merge one table-mode request."""
+    req = ix.plan(mode, queries, **opts)
+    idf_map = P.resolve_idf([req], ix.df, ix.stats["n_docs"])
+    parts = scatter(ix, run_op_segment, idf_map, op=req.op(),
+                    predicates=predicates)
+    return P.merge(req, parts)
