@@ -211,8 +211,9 @@ def build_index(ds: "ray.data.Dataset", index_dir: str,
         # execution covers shuffle + build + stats merge.  Analog of
         # merge-json's reduce over per-shard outputs (reference:
         # src/commands/utils/merge-json.py:18-46).
-        term_stats_sum(seg_terms).write_parquet(
-            os.path.join(index_dir, "global", "terms"))
+        terms = os.path.join(index_dir, "global", "terms")
+        term_stats_sum(seg_terms).write_parquet(terms)
+        os.makedirs(terms, exist_ok=True)   # empty corpus: no file
     else:
         seg_terms.materialize()
 
@@ -422,42 +423,36 @@ def delete_docs(index_dir: str, conv_ids: list[str]) -> dict:
     docmap scan can).  Returns {"n_deleted_docs": newly tombstoned}.
     """
     import pyarrow.compute as pc
+    from .scatter import fan_out
 
     _, _, seg_dirs = load_index_meta(index_dir)
-    dels_ref = ray.put(pa.array(sorted(set(conv_ids)), pa.string()))
 
-    def _task(batch: pa.Table) -> pa.Table:
-        value_set = ray.get(dels_ref)
-        segs, counts = [], []
-        for seg_dir in batch["seg_dir"].to_pylist():
+    def _task(batch: list[str], value_set: pa.Array) -> int:
+        n_new = 0
+        for seg_dir in batch:
             d = pq.read_table(os.path.join(seg_dir, "docs.parquet"),
                               columns=["conv_id"])
             hit = pc.is_in(d["conv_id"], value_set=value_set)
             local = np.flatnonzero(hit.combine_chunks()
                                    .to_numpy(zero_copy_only=False))
-            n_new = 0
-            if local.size:
-                path = os.path.join(seg_dir, "deletes.parquet")
-                prev = np.empty(0, dtype=np.int64)
-                if os.path.exists(path):
-                    prev = pq.read_table(path)["doc_local"] \
-                        .to_numpy(zero_copy_only=False).astype(np.int64)
-                merged = np.union1d(prev, local.astype(np.int64))
-                n_new = int(merged.size - prev.size)
-                if n_new:
-                    tmp = path + ".tmp"
-                    pq.write_table(
-                        pa.table({"doc_local": pa.array(merged,
-                                                        pa.int64())}), tmp)
-                    os.replace(tmp, path)      # atomic sidecar swap
-            segs.append(os.path.basename(seg_dir))
-            counts.append(n_new)
-        return pa.table({"segment": pa.array(segs, pa.string()),
-                         "n_new": pa.array(counts, pa.int64())})
+            if not local.size:
+                continue
+            path = os.path.join(seg_dir, "deletes.parquet")
+            prev = np.empty(0, dtype=np.int64)
+            if os.path.exists(path):
+                prev = pq.read_table(path)["doc_local"] \
+                    .to_numpy(zero_copy_only=False).astype(np.int64)
+            merged = np.union1d(prev, local.astype(np.int64))
+            if merged.size > prev.size:
+                n_new += int(merged.size - prev.size)
+                tmp = path + ".tmp"
+                pq.write_table(pa.table({"doc_local": pa.array(
+                    merged, pa.int64())}), tmp)
+                os.replace(tmp, path)          # atomic sidecar swap
+        return n_new
 
-    from .scatter import segment_ds
-    res = segment_ds(seg_dirs, _task).to_pandas()
-    return {"n_deleted_docs": int(res["n_new"].sum())}
+    dels_ref = ray.put(pa.array(sorted(set(conv_ids)), pa.string()))
+    return {"n_deleted_docs": sum(fan_out(seg_dirs, _task, dels_ref))}
 
 
 def update_attributes(index_dir: str, updates, *,
@@ -485,6 +480,7 @@ def update_attributes(index_dir: str, updates, *,
     Returns {"n_updated_docs": rows whose key matched}.
     """
     import pandas as pd
+    from .scatter import fan_out
 
     _, _, seg_dirs = load_index_meta(index_dir)
     kcols = list(keys)
@@ -492,21 +488,18 @@ def update_attributes(index_dir: str, updates, *,
     attr_cols = [c for c in upd.columns if c not in kcols]
     if not attr_cols:
         raise ValueError("updates carries no attribute columns")
-    schema = pq.read_schema(os.path.join(seg_dirs[0], "docs.parquet")) \
-        if seg_dirs else None
-    if schema is not None:
+    if seg_dirs:
+        schema = pq.read_schema(os.path.join(seg_dirs[0], "docs.parquet"))
         missing = [c for c in attr_cols if c not in schema.names]
         if missing:
             raise ValueError(
                 f"attribute column(s) {missing} not in the docmap "
                 f"(have: {schema.names}) — attributes must be declared "
                 f"at build time (attribute_cols=)")
-    upd_ref = ray.put(upd)
 
-    def _task(batch: pa.Table) -> pa.Table:
-        u = ray.get(upd_ref)
-        segs, counts = [], []
-        for seg_dir in batch["seg_dir"].to_pylist():
+    def _task(batch: list[str], u: "pd.DataFrame") -> int:
+        n_hits = 0
+        for seg_dir in batch:
             path = os.path.join(seg_dir, "docs.parquet")
             docs = pq.read_table(path)
             df = docs.to_pandas()
@@ -524,14 +517,10 @@ def update_attributes(index_dir: str, updates, *,
                 tmp = path + ".tmp"
                 pq.write_table(out, tmp)
                 os.replace(tmp, path)          # atomic docmap swap
-            segs.append(os.path.basename(seg_dir))
-            counts.append(n_hit)
-        return pa.table({"segment": pa.array(segs, pa.string()),
-                         "n_hit": pa.array(counts, pa.int64())})
+            n_hits += n_hit
+        return n_hits
 
-    from .scatter import segment_ds
-    res = segment_ds(seg_dirs, _task).to_pandas()
-    return {"n_updated_docs": int(res["n_hit"].sum())}
+    return {"n_updated_docs": sum(fan_out(seg_dirs, _task, ray.put(upd)))}
 
 
 def get_conversations(index_dir: str, conv_ids: list[str]) -> pa.Table:
@@ -551,6 +540,7 @@ def get_conversations(index_dir: str, conv_ids: list[str]) -> pa.Table:
     """
     import pandas as pd
     import pyarrow.compute as pc
+    from .scatter import fan_out
 
     cfg_dict, _, seg_dirs = load_index_meta(index_dir)
     want = sorted(set(conv_ids))
@@ -569,25 +559,18 @@ def get_conversations(index_dir: str, conv_ids: list[str]) -> pa.Table:
         return pa.table({"conv_id": pa.array([], pa.string()),
                          "turn_idx": pa.array([], pa.int32()),
                          "doclen": pa.array([], pa.int32())})
-    want_ref = ray.put(pa.array(want, pa.string()))
 
-    def _task(batch: pa.Table) -> pa.Table:
-        vs = ray.get(want_ref)
+    def _task(batch: list[str], vs: pa.Array) -> pa.Table:
         tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
+        for seg_dir in batch:
             d = pq.read_table(os.path.join(seg_dir, "docs.parquet"),
                               columns=["conv_id", "turn_idx", "doclen"])
             tables.append(d.filter(pc.is_in(d["conv_id"],
                                             value_set=vs)))
         return pa.concat_tables(tables)
 
-    from ..runtime import block_refs
-    from .scatter import segment_ds
-    out = pa.concat_tables([t for t in ray.get(block_refs(
-        segment_ds(dirs, _task))) if t.num_rows]
-        or [pa.table({"conv_id": pa.array([], pa.string()),
-                      "turn_idx": pa.array([], pa.int32()),
-                      "doclen": pa.array([], pa.int32())})])
+    out = pa.concat_tables(fan_out(dirs, _task, ray.put(pa.array(
+        want, pa.string()))))
     return out.sort_by([("conv_id", "ascending"),
                         ("turn_idx", "ascending")])
 

@@ -4,8 +4,8 @@ Each function runs the shared one-shot prologue
 (:func:`~vframe_ray.index.scatter.open_index`: one alias resolve, meta,
 config, predicate check, tokenizer), plans its request through the mode
 table (:mod:`.plan`), does one global-df lookup, scatters the mode's
-segment kernel over ephemeral Ray Data tasks and merges the partials
-with the table's shared merge.  The expansion modes (prefix, wildcard,
+segment kernel over plain Ray tasks and merges the partials with the
+table's shared merge.  The expansion modes (prefix, wildcard,
 regex, fuzzy, synonyms, more-like-this) rewrite their queries against
 the dictionary and delegate to :func:`search_index`; the composites
 (explain, export, retrieval evaluation) scatter their own segment
@@ -29,9 +29,9 @@ from ..analyze import Tokenizer
 from ..config import BM25Config, EngineConfig
 from . import plan as P
 from .plan import parse_boosted_query  # noqa: F401  (import surface)
-from .scatter import (_SearcherStage, open_index, open_indexes, run_mode,
-                      run_op_segment, scatter, scatter_ds, stage_kwargs,
-                      validate_predicates)  # noqa: F401
+from .scatter import (_SearcherStage, fan_out, open_index, open_indexes,
+                      run_mode, run_op_segment, scatter, scatter_ds,
+                      stage_kwargs, validate_predicates)  # noqa: F401
 from .searcher import (_RESULT_SCHEMA, SegmentSearcher, _global_df_for_terms,
                        _merge_topk_driver, idf)
 from ..state.manifest import terms_dir as _terms_dir
@@ -64,6 +64,12 @@ def search_index(index_dir: str, queries: list[dict],
     Per-query filters: a query may carry ``"filter": ["attr op value",
     …]`` (the filter-context-per-request shape) — validated like the
     global ``predicates`` and ANDed with them for that query only.
+
+    Execution: up to ``driver_merge_max_rows`` candidate rows
+    (Σk × segments) the per-segment top-k runs as plain Ray tasks and
+    merges on the driver — no Ray Data job; above it the candidates
+    merge through a Ray Data ``groupby(query_id)`` on an actor pool of
+    ``concurrency`` so no single process holds them all.
     """
     return _search(open_index(index_dir, cfg, predicates), queries,
                    use_bmw=use_bmw, concurrency=concurrency,
@@ -80,39 +86,16 @@ def _search(ix, queries: list[dict], *, use_bmw: bool = True,
     payload = dict(op=req.op(), predicates=predicates)
     max_hits = sum(req.ks().values()) * len(ix.seg_dirs)
     if max_hits <= driver_merge_max_rows:
-        # Small scatter-gather: per-segment top-k as plain TASKS (reuse
-        # warm workers, no actor-pool spin-up) and merge the ≤1M candidate
-        # rows on the driver — one round-trip, no shuffle.
         return P.merge(req, scatter(ix, run_op_segment, idf_map, **payload))
-    # Large fan-in: distributed merge via groupby(query_id) so no
-    # single process holds every candidate row.
     kw = stage_kwargs(ix, run_op_segment, idf_map, **payload)
     hits = ray.data.from_items([{"seg_dir": d} for d in ix.seg_dirs]) \
         .map_batches(_SearcherStage, fn_constructor_kwargs=kw,
                      batch_format="pyarrow", batch_size=1,
                      concurrency=concurrency)
-    ks, offsets = req.ks(), req.offsets
-
-    def merge(group: pa.Table) -> pa.Table:
-        qid = int(group["query_id"][0].as_py())
-        off = offsets.get(qid, 0)
-        df = group.to_pandas().sort_values(
-            ["score", "conv_id", "turn_idx"],
-            ascending=[False, True, True]).head(ks[qid]).iloc[off:]
-        df["rank"] = np.arange(off + 1, off + len(df) + 1,
-                               dtype=np.int32)
-        return pa.Table.from_pandas(df[["query_id", "rank", "conv_id",
-                                        "turn_idx", "score"]],
-                                    preserve_index=False) \
-            .replace_schema_metadata(None)
-
-    merged = hits.groupby("query_id").map_groups(
-        merge, batch_format="pyarrow").to_pandas()
-    if merged.empty:
-        return _RESULT_SCHEMA.empty_table()
-    out = pa.Table.from_pandas(
-        merged.sort_values(["query_id", "rank"]), preserve_index=False)
-    return out.cast(_RESULT_SCHEMA)
+    cut = hits.groupby("query_id").map_groups(
+        lambda group: P.shard_cut(payload["op"], group),
+        batch_format="pyarrow")
+    return P.merge(req, cut.to_pandas())
 
 
 def phrase_rank_index(index_dir: str, phrases: list[dict],
@@ -1039,12 +1022,6 @@ def search_fields_index(fields: list[tuple[str, float]],
     field_stats = [m[1] for m in metas]
     bm25_dict = {"k1": eff.bm25.k1, "b": eff.bm25.b}
     block_size = eff.index.block_size
-    shared_ref = ray.put((parsed, gdfs))
-
-    _EMPTY_HITS = pa.table({"query_id": pa.array([], pa.int32()),
-                            "conv_id": pa.array([], pa.string()),
-                            "turn_idx": pa.array([], pa.int32()),
-                            "score": pa.array([], pa.float64())})
 
     def _one_segment(ordinal: int, parsed_l, gdfs_l) -> pa.Table:
         searchers = [
@@ -1092,8 +1069,6 @@ def search_fields_index(fields: list[tuple[str, float]],
                 qid_out.append(qid)
                 doc_out.append(int(uniq[i]))
                 score_out.append(float(comb[i]))
-        if not qid_out:
-            return _EMPTY_HITS
         idx = pa.array(doc_out, pa.int64())
         return pa.table({
             "query_id": pa.array(qid_out, pa.int32()),
@@ -1102,14 +1077,13 @@ def search_fields_index(fields: list[tuple[str, float]],
             "score": pa.array(score_out, pa.float64()),
         })
 
-    def _task(batch: pa.Table) -> pa.Table:
-        parsed_l, gdfs_l = ray.get(shared_ref)
+    def _task(ordinals: list[int], parsed_l, gdfs_l) -> pa.Table:
         return pa.concat_tables([_one_segment(i, parsed_l, gdfs_l)
-                                 for i in batch["i"].to_pylist()])
+                                 for i in ordinals])
 
-    seg_ds = ray.data.from_items([{"i": i} for i in range(n_segs)])
-    hits = seg_ds.map_batches(_task, batch_format="pyarrow", batch_size=1)
-    merged = _merge_topk_driver(hits.to_pandas(),
+    hits = fan_out(list(range(n_segs)), _task, ray.put(parsed),
+                   ray.put(gdfs))
+    merged = _merge_topk_driver(P.frame(hits),
                                 {qid: k for qid, _, k in parsed})
     out = pa.Table.from_pandas(
         merged.sort_values(["query_id", "rank"]), preserve_index=False)

@@ -17,7 +17,7 @@ Each :class:`Mode` row of :data:`MODES` says
 Three consumers share the table, one per code path:
 
 - one-shot ``*_index`` functions (:mod:`.entrypoints`) plan a request
-  and scatter it over ephemeral Ray Data tasks (:mod:`.scatter`);
+  and scatter it over plain Ray tasks (:mod:`.scatter`);
 - the resident ``_ShardSearcher`` actors (:mod:`.service`) run planned
   ops over their segments (:func:`run_op`) and apply the shard-level
   cut of the merge kind (:func:`shard_cut`);

@@ -8,7 +8,7 @@ The query engine is one mode table and its three consumers:
   check), shard-level cut and driver merge;
 - :mod:`.scatter`     — one-shot execution: the shared prologue (one
   alias resolve, meta, config, predicate check) and the scatter over
-  ephemeral Ray Data tasks;
+  plain Ray tasks;
 - :mod:`.service`     — served execution: resident shard actors and
   QueryService;
 - :mod:`.entrypoints` — the one-shot ``*_index`` functions;

@@ -1,20 +1,23 @@
 """One-shot execution of the mode table (:mod:`.plan`): the shared
-prologue and the scatter over segments.
+prologue and the fan-out over segments.
 
 :func:`open_indexes` is the prologue every one-shot ``*_index`` function
 runs: resolve each alias ONCE, load the metadata, build the config,
 validate the call-level predicates against that same generation and
-bind the tokenizer and the global-df lookup to it.  :func:`scatter`
-fans a per-segment function out over the segment list —
-``from_items`` → ``map_batches`` (one segment-batch rule) →
-``to_pandas`` — and :func:`run_mode` ties prologue, plan, scatter and
-the shared merge together for a table mode.
+bind the tokenizer and the global-df lookup to it.  :func:`fan_out`
+runs a function over batches of segments as plain Ray tasks;
+:func:`scatter` runs a per-segment searcher function through it and
+:func:`run_mode` ties prologue, plan, scatter and the shared merge
+together.  Ray Data stays where a ``Dataset`` is the point:
+:func:`scatter_ds` for the lazy ``export_matches`` and the
+``groupby(query_id)`` merge of ``search_index`` above
+``driver_merge_max_rows``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import pandas as pd
@@ -34,13 +37,18 @@ def validate_predicates(index_dir: str, predicates: list[str]) -> None:
     """Pre-flight check of predicate attribute columns against the
     docmap schema — a clean ValueError instead of a Ray-wrapped worker
     traceback mid-query (VERDICT round 1, 'What's missing' #4)."""
-    from ..sources.readers import parse_predicates
     from .build import load_index_meta
     _, _, seg_dirs = load_index_meta(index_dir)
-    if not seg_dirs:
-        return
-    schema = pq.read_schema(os.path.join(seg_dirs[0], "docs.parquet"))
-    cols = set(schema.names)
+    if seg_dirs:
+        _check_attrs(_docmap_cols(seg_dirs[0]), predicates)
+
+
+def _docmap_cols(seg_dir: str) -> set[str]:
+    return set(pq.read_schema(os.path.join(seg_dir, "docs.parquet")).names)
+
+
+def _check_attrs(cols: set[str], predicates: list[str]) -> None:
+    from ..sources.readers import parse_predicates
     for expr in predicates:
         for attr, _op, _raw, _neg in parse_predicates([expr]):
             if attr not in cols:
@@ -59,14 +67,28 @@ class Index:
     stats: dict
     seg_dirs: list[str]
     tok: Tokenizer
+    _cols: "set[str] | None" = field(default=None, init=False, repr=False)
+    _checked: set = field(default_factory=set, init=False, repr=False)
 
     @property
     def dir(self) -> str:
         return self.dirs[0]
 
     def validate(self, predicates: list[str]) -> None:
-        for d in self.dirs:           # attrs must exist in EVERY index
-            validate_predicates(d, predicates)
+        """Check predicate attributes against the docmap columns every
+        index of this generation has (first segment of each, read once);
+        checked lists are remembered."""
+        key = tuple(predicates)
+        if key in self._checked:
+            return
+        if self._cols is None:
+            firsts = [next((s for s in self.seg_dirs if s.startswith(
+                os.path.join(d, "segments", ""))), None) for d in self.dirs]
+            cols = [_docmap_cols(s) for s in firsts if s]
+            self._cols = set.intersection(*cols) if cols else None
+        if self._cols is not None:
+            _check_attrs(self._cols, predicates)
+        self._checked.add(key)
 
     def df(self, terms: set[str]) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -118,25 +140,47 @@ def open_index(index_dir: str, cfg: EngineConfig | None = None,
     return open_indexes([index_dir], cfg, predicates)
 
 
+def _batch_size(n: int) -> int:
+    """The segment-batch rule: segments per task, so the task count
+    stays bounded even with hundreds of segments."""
+    return max(1, n // 64)
+
+
+@ray.remote
+def _batch_task(fn: Callable, batch: list, *args):
+    return fn(batch, *args)
+
+
+def fan_out(items: list, fn: Callable, *args) -> list:
+    """``fn(batch, *args)`` over batches of ``items`` as plain Ray
+    tasks, one result per batch.  Pass shared payloads in ``args`` as
+    ``ray.put`` refs: a task gets them resolved."""
+    n = _batch_size(len(items))
+    return ray.get([_batch_task.remote(fn, items[i:i + n], *args)
+                    for i in range(0, len(items), n)])
+
+
+def _search_segments(seg_dirs: list[str], p: dict, fn: Callable) -> pa.Table:
+    """``fn(searcher, p)`` on each segment, concatenated."""
+    tables = []
+    for seg_dir in seg_dirs:
+        s = SegmentSearcher(seg_dir, BM25Config(**p["bm25"]),
+                            p["n_docs"], p["avgdl"], {},
+                            block_size=p["block_size"])
+        s.idf = p["idf"]
+        tables.append(fn(s, p))
+    return pa.concat_tables(tables)
+
+
 class _SearcherStage:
-    """Runs ``fn(searcher, payload)`` on each segment of a batch of
-    segment paths; the payload (stats, idf map, predicates, op) is
-    broadcast once through the object store."""
+    """:func:`_search_segments` as a Ray Data batch function."""
 
     def __init__(self, ref, fn: Callable):
         self.p = ray.get(ref)
         self.fn = fn
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        p = self.p
-        tables = []
-        for seg_dir in batch["seg_dir"].to_pylist():
-            s = SegmentSearcher(seg_dir, BM25Config(**p["bm25"]),
-                                p["n_docs"], p["avgdl"], {},
-                                block_size=p["block_size"])
-            s.idf = p["idf"]
-            tables.append(self.fn(s, p))
-        return pa.concat_tables(tables)
+        return _search_segments(batch["seg_dir"].to_pylist(), self.p, self.fn)
 
 
 def stage_kwargs(ix: Index, fn: Callable, idf_map: dict[str, float],
@@ -148,29 +192,26 @@ def stage_kwargs(ix: Index, fn: Callable, idf_map: dict[str, float],
     return {"ref": ray.put(p), "fn": fn}
 
 
-def segment_ds(seg_dirs: list[str], fn: Callable) -> "ray.data.Dataset":
-    """``fn`` over batches of segment dirs as plain tasks, several
-    segments per task: launch overhead amortizes and the task count
-    stays ~O(cpus) even with hundreds of segments."""
-    return ray.data.from_items([{"seg_dir": d} for d in seg_dirs]) \
-        .map_batches(fn, batch_format="pyarrow",
-                     batch_size=max(1, len(seg_dirs) // 64))
-
-
 def scatter_ds(ix: Index, fn: Callable, idf_map: dict[str, float],
                **payload) -> "ray.data.Dataset":
-    """Per-segment ``fn(searcher, payload)`` over ``ix``'s segments."""
+    """Per-segment ``fn(searcher, payload)`` over ``ix``'s segments as a
+    lazy Dataset (for callers that stream the result)."""
     kw = stage_kwargs(ix, fn, idf_map, **payload)
 
     def _task(batch: pa.Table) -> pa.Table:
         return _SearcherStage(**kw)(batch)
 
-    return segment_ds(ix.seg_dirs, _task)
+    return ray.data.from_items([{"seg_dir": d} for d in ix.seg_dirs]) \
+        .map_batches(_task, batch_format="pyarrow",
+                     batch_size=_batch_size(len(ix.seg_dirs)))
 
 
 def scatter(ix: Index, fn: Callable, idf_map: dict[str, float],
             **payload) -> pd.DataFrame:
-    return scatter_ds(ix, fn, idf_map, **payload).to_pandas()
+    """Per-segment ``fn(searcher, payload)`` over ``ix``'s segments as
+    plain tasks, gathered to one frame (no segment: no task)."""
+    kw = stage_kwargs(ix, fn, idf_map, **payload)
+    return P.frame(fan_out(ix.seg_dirs, _search_segments, kw["ref"], fn))
 
 
 def run_op_segment(s: SegmentSearcher, p: dict) -> pa.Table:

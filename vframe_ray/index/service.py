@@ -26,7 +26,7 @@ from .entrypoints import (_expand_wildcards, _fuzzy_plain_queries,
                           _mlt_seed_tfs, _mlt_trim_excluded,
                           _parse_wildcard_queries, _regex_plain_queries,
                           _synonym_plain_queries, suggest_terms)
-from .scatter import open_indexes, validate_predicates
+from .scatter import open_indexes
 from .searcher import SegmentSearcher, _global_df_for_terms
 
 
@@ -127,6 +127,7 @@ class QueryService:
         ix = open_indexes([index_dir] if isinstance(index_dir, str)
                           else list(index_dir), cfg)
         self.cfg, self.stats, self.tok = ix.cfg, ix.stats, ix.tok
+        self._ix = ix            # checks predicates on this generation
         self.index_dirs = ix.dirs
         self.index_dir = ix.dir
         self._federated = len(ix.dirs) > 1
@@ -178,10 +179,6 @@ class QueryService:
             self._req_cache.pop(next(iter(self._req_cache)))
         self._req_cache[key] = table
 
-    def _validate_predicates(self, predicates) -> None:
-        for d in self.index_dirs:     # attrs must exist in EVERY index
-            validate_predicates(d, predicates)
-
     def _gdf_cached(self, terms: set[str]) -> dict[str, int]:
         missing = [t for t in terms if t not in self._df_cache]
         if missing:
@@ -197,7 +194,7 @@ class QueryService:
                 if (v := self._df_cache.get(t)) is not None}
 
     def _plan(self, mode: str, queries: list[dict], **opts) -> P.Request:
-        return P.plan(mode, self.tok, queries, self._validate_predicates,
+        return P.plan(mode, self.tok, queries, self._ix.validate,
                       **opts)
 
     def _run(self, reqs: list[P.Request],
@@ -205,7 +202,7 @@ class QueryService:
         """One df lookup, one put of the payload, one ``search_mixed``
         call per shard, then the shared merge per request."""
         if predicates:
-            self._validate_predicates(predicates)
+            self._ix.validate(predicates)
         idf_map = P.resolve_idf(reqs, self._gdf_cached, self.stats["n_docs"])
         ops = ray.put([r.op() for r in reqs])
         idf_ref = ray.put(idf_map)
@@ -226,6 +223,8 @@ class QueryService:
         cached = self._req_cache_get(ck)
         if cached is not None:
             return cached
+        if predicates:
+            self._ix.validate(predicates)
         req = self._plan("search", queries, use_bmw=use_bmw,
                          collapse=collapse)
         idf_map = P.resolve_idf([req], self._gdf_cached,

@@ -989,7 +989,6 @@ def semantic_dedup(ds, *, k: int = 4, threshold: float = 0.9,
     tn, td = fr.numerator, fr.denominator
     if tn <= 0:
         raise ValueError("threshold must be positive")
-    gmax = 1.0
     picks = farthest_point_sample(ds, k=k, id_col=id_col,
                                   vec_col=vec_col, bits_max=bits_max)
     center_ids = picks["id"].to_numpy(np.int64)          # rank order
@@ -1088,7 +1087,7 @@ def mmr_rerank(candidates: "dict[int, tuple]", emb_path: str, *,
     :func:`rerank_by_embedding`.
 
     ``candidates``: query_id → (ids int64 array, rel float array).
-    Returns (query_id, rank, id_col, rel_r, mmr_r).
+    Returns (query_id, rank, id_col, rel_r, maxcos_r).
     """
     import pyarrow.parquet as pq
 
