@@ -256,3 +256,92 @@ def test_default_build_finishes_on_one_cpu(tmp_path):
                        capture_output=True, text=True, env=env, cwd=root,
                        timeout=240)
     assert "built" in r.stdout, r.stdout + r.stderr[-2000:]
+
+
+RANKED = [m for m, e in MODES.items() if e.k is not None]
+
+
+def _paths(idx, svc, mode, qs):
+    """Lazy calls of one request on every path of ``mode``."""
+    fn, meth, _q, opts = CASES[mode]
+    out = {"oneshot": lambda: fn(idx, qs, **opts),
+           "mixed": lambda: svc.search_mixed([{"mode": mode, "queries": qs,
+                                               **opts}])[0]}
+    if meth:
+        out["served"] = lambda: getattr(svc, meth)(qs, **opts)
+    return out
+
+
+def test_k_zero_is_empty_and_negative_k_raises(idx_svc):
+    """k = 0 asks for no rows on every ranked mode (it used to crash the
+    filter-then-score modes inside np.partition); a negative k is a
+    driver-side ValueError on every path."""
+    from ray.exceptions import RayTaskError
+    idx, svc = idx_svc
+    assert {"search", "phrase_rank", "proximity", "boosted", "span_first",
+            "common", "top_hits"} <= set(RANKED)
+    for mode in RANKED:
+        q = CASES[mode][2]
+        field = "h" if mode == "top_hits" else "k"
+        zero = [dict(q, query_id=0, **{field: 0})]
+        for path, call in _paths(idx, svc, mode, zero).items():
+            got = call()
+            assert got.schema == MODES[mode].schema, (mode, path)
+            assert got.num_rows == 0, (mode, path)
+        negative = [dict(q, query_id=0, **{field: -1})]
+        for path, call in _paths(idx, svc, mode, negative).items():
+            with pytest.raises(ValueError) as e:
+                call()
+            assert not isinstance(e.value, RayTaskError), (mode, path)
+
+
+def _searchers(idx):
+    from vframe_ray.index.scatter import open_index
+    from vframe_ray.index.searcher import SegmentSearcher
+    ix = open_index(idx)
+    out = []
+    for seg in ix.seg_dirs:
+        s = SegmentSearcher(seg, ix.cfg.bm25, ix.stats["n_docs"],
+                            ix.stats["avgdl"], {},
+                            block_size=ix.cfg.index.block_size)
+        s.idf = ix.idf_map({"apple", "banana", "rare", "cherry", "berry",
+                            "apricot"})
+        out.append(s)
+    return ix, out
+
+
+def test_segment_scorers_k_zero(idx_svc):
+    """Every scorer and the dense ``search`` path return nothing for
+    k = 0 (score_full's partition used to index past the candidates)."""
+    _ix, searchers = _searchers(idx_svc[0])
+    terms = ["apple", "banana"]
+    for s in searchers:
+        for scorer in (s.score_sparse, s.score_full, s.score_bmw):
+            assert scorer(terms, 0) == [], scorer.__name__
+        sparse = s.search([(0, terms, 2)]).to_pylist()
+        s.SPARSE_MAX = 0                   # force the dense TAAT path
+        assert s.search([(0, terms, 0)]).num_rows == 0
+        assert s.search([(0, terms, 2)]).to_pylist() == sparse
+
+
+@pytest.mark.parametrize("mode", sorted(CASES))
+def test_segment_kernel_typed_empties(idx_svc, mode):
+    """Every mode kernel on one segment returns the same schema for an
+    empty request, an all-OOV request and a matching one — the typed
+    empties that keep Ray Data block schemas uniform."""
+    from vframe_ray.index import plan as P
+    ix, searchers = _searchers(idx_svc[0])
+    q, opts = CASES[mode][2], CASES[mode][3]
+    ops = {}
+    for kind, qs in (("match", _queries(q)), ("empty", []),
+                     ("oov", [dict(_oov(q), query_id=0)])):
+        req = ix.plan(mode, qs, **opts)
+        P.resolve_idf([req], ix.df, ix.stats["n_docs"])    # binds common
+        ops[kind] = req.op()
+    # a segment holding a match fixes the mode's segment schema
+    s, want = next((s, t) for s in searchers
+                   for t in [P.run_op(s, ops["match"])] if t.num_rows)
+    for kind in ("empty", "oov"):
+        got = P.run_op(s, ops[kind])
+        assert got.schema == want.schema, (mode, kind)
+        assert got.num_rows == 0, (mode, kind)

@@ -6,10 +6,12 @@ config, predicate check, tokenizer), plans its request through the mode
 table (:mod:`.plan`), does one global-df lookup, scatters the mode's
 segment kernel over plain Ray tasks and merges the partials with the
 table's shared merge.  The expansion modes (prefix, wildcard,
-regex, fuzzy, synonyms, more-like-this) rewrite their queries against
-the dictionary and delegate to :func:`search_index`; the composites
-(explain, export, retrieval evaluation) scatter their own segment
-functions through the same prologue and scatter helper.
+regex, fuzzy, synonyms, more-like-this, phrase-prefix) rewrite their
+queries against the dictionary and run the plain search (or phrase)
+mode on the index they already opened, so a call runs the prologue
+once; the composites (explain, export, retrieval evaluation) scatter
+their own segment functions through the same prologue and scatter
+helper.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .scatter import (_SearcherStage, fan_out, open_index, open_indexes,
                       run_mode, run_op_segment, scatter, scatter_ds,
                       stage_kwargs, validate_predicates)  # noqa: F401
 from .searcher import (_RESULT_SCHEMA, SegmentSearcher, _global_df_for_terms,
-                       _merge_topk_driver, idf)
+                       _arrays, _merge_topk_driver, _top_k, idf)
 from ..state.manifest import terms_dir as _terms_dir
 
 
@@ -527,11 +529,10 @@ def search_prefix_index(index_dir: str, queries: list[dict],
     which this delegates after expansion (one tiny dictionary range
     read; everything downstream — scoring paths, predicates, collapse,
     merge — is the plain machinery)."""
-    ix = open_index(index_dir, cfg)
+    ix = open_index(index_dir, cfg, predicates)
     per_q, all_prefixes = _parse_wildcard_queries(ix.tok, queries)
     plain = _expand_wildcards(ix.dir, per_q, all_prefixes)
-    return search_index(ix.dir, plain, cfg, predicates=predicates,
-                        collapse=collapse)
+    return _search(ix, plain, predicates=predicates, collapse=collapse)
 
 
 def _mlt_seed_tfs(tok: Tokenizer, seeds: list[dict]
@@ -595,11 +596,11 @@ def more_like_this_index(index_dir: str, seeds: list[dict],
     over-fetches k+1 per query then trims, so the returned top-k is
     exact.  Term selection reads only the seed terms' dictionary rows
     (one pruned lookup), never the corpus."""
-    ix = open_index(index_dir, cfg)
+    ix = open_index(index_dir, cfg, predicates)
     seed_tfs, all_terms = _mlt_seed_tfs(ix.tok, seeds)
     plain = _mlt_plain_queries(seed_tfs, seeds, ix.df(all_terms),
                                ix.stats["n_docs"], max_query_terms)
-    res = search_index(ix.dir, plain, cfg, predicates=predicates)
+    res = _search(ix, plain, predicates=predicates)
     return _mlt_trim_excluded(res, seeds)
 
 
@@ -635,9 +636,9 @@ def search_synonym_index(index_dir: str, queries: list[dict],
     idf, like prefix expansion.  ``synonyms`` is user config (the
     reference's label-alias map pattern), so it broadcasts with the
     query, no data pass."""
-    ix = open_index(index_dir, cfg)
+    ix = open_index(index_dir, cfg, predicates)
     plain = _synonym_plain_queries(ix.tok, queries, synonyms)
-    return search_index(ix.dir, plain, cfg, predicates=predicates)
+    return _search(ix, plain, predicates=predicates)
 
 
 # Fuzzy expansion lives in .fuzzy: the SymSpell deletion-table path
@@ -671,9 +672,9 @@ def search_fuzzy_index(index_dir: str, queries: list[dict],
     """Fuzzy search: every query term expands to the dictionary terms
     within ``max_edits`` Levenshtein distance (itself included when
     present), and the union scores as a plain multi-term query."""
-    ix = open_index(index_dir, cfg)
+    ix = open_index(index_dir, cfg, predicates)
     plain = _fuzzy_plain_queries(ix.dirs, ix.tok, queries, max_edits)
-    return search_index(ix.dir, plain, cfg, predicates=predicates)
+    return _search(ix, plain, predicates=predicates)
 
 
 def expand_like_patterns(index_dir: str, patterns: list[str]
@@ -783,10 +784,9 @@ def search_like_index(index_dir: str, queries: list[dict],
     expand against the dictionary, then the term union scores as a
     plain multi-term query with per-term idf — same delegation shape
     as prefix/fuzzy/synonym search."""
-    ix = open_index(index_dir, cfg)
+    ix = open_index(index_dir, cfg, predicates)
     plain = _like_plain_queries(ix.dir, ix.tok, queries)
-    return search_index(ix.dir, plain, cfg, predicates=predicates,
-                        collapse=collapse)
+    return _search(ix, plain, predicates=predicates, collapse=collapse)
 
 
 def phrase_prefix_search_index(index_dir: str, queries: list[dict],
@@ -824,7 +824,7 @@ def phrase_prefix_search_index(index_dir: str, queries: list[dict],
             owner.append(qid)
     if not variants:
         return phrases.schema.empty_table()
-    hits = phrase_search_index(ix.dir, variants, cfg)
+    hits = run_mode(ix, "phrases", variants)
     if not hits.num_rows:
         return phrases.schema.empty_table()
     df = hits.to_pandas()
@@ -921,10 +921,9 @@ def search_regex_index(index_dir: str, queries: list[dict],
     expression expanded against the dictionary, then the term union
     scores as a plain multi-term query with per-term idf — same
     delegation shape as prefix/wildcard/fuzzy/synonym search."""
-    ix = open_index(index_dir, cfg)
+    ix = open_index(index_dir, cfg, predicates)
     plain = _regex_plain_queries(ix.dir, ix.tok, queries)
-    return search_index(ix.dir, plain, cfg, predicates=predicates,
-                        collapse=collapse)
+    return _search(ix, plain, predicates=predicates, collapse=collapse)
 
 
 def suggest_corrections(index_dir: str, terms: list[str],
@@ -1030,10 +1029,7 @@ def search_fields_index(fields: list[tuple[str, float]],
                             field_stats[f]["avgdl"], gdfs_l[f],
                             block_size=block_size)
             for f in range(len(fields))]
-        r0 = searchers[0].r            # aligned docmaps: field 0 carries
-        qid_out: list[int] = []        # the identity for every field
-        doc_out: list[int] = []
-        score_out: list[float] = []
+        rows = []
         for qid, terms, k in parsed_l:
             docs_parts: list[np.ndarray] = []
             score_parts: list[np.ndarray] = []
@@ -1050,10 +1046,9 @@ def search_fields_index(fields: list[tuple[str, float]],
                     hits = s.score_sparse(terms, n_cand, postings=postings)
                 else:
                     hits = s.score_full(terms, n_cand, postings=postings)
-                if hits:
-                    docs_parts.append(np.array([d for _, d in hits],
-                                               dtype=np.int64))
-                    score_parts.append(np.array([sc for sc, _ in hits]) * w)
+                docs, scores = _arrays(hits)
+                docs_parts.append(docs)
+                score_parts.append(scores * w)
             if not docs_parts:
                 continue
             docs_all = np.concatenate(docs_parts)
@@ -1064,18 +1059,9 @@ def search_fields_index(fields: list[tuple[str, float]],
                 mx = np.zeros(len(uniq))
                 np.maximum.at(mx, inv, scores_all)  # BM25 scores > 0
                 comb = mx + tie_breaker * (comb - mx)
-            order = np.lexsort((uniq, -comb))[:k]
-            for i in order:
-                qid_out.append(qid)
-                doc_out.append(int(uniq[i]))
-                score_out.append(float(comb[i]))
-        idx = pa.array(doc_out, pa.int64())
-        return pa.table({
-            "query_id": pa.array(qid_out, pa.int32()),
-            "conv_id": pc.cast(r0.conv_id.take(idx), pa.string()),
-            "turn_idx": pc.cast(r0.turn_idx.take(idx), pa.int32()),
-            "score": pa.array(score_out, pa.float64()),
-        })
+            rows.append((qid, *_top_k(uniq, comb, k)))
+        # aligned docmaps: field 0 carries the identity for every field
+        return searchers[0]._hit_rows(rows)
 
     def _task(ordinals: list[int], parsed_l, gdfs_l) -> pa.Table:
         return pa.concat_tables([_one_segment(i, parsed_l, gdfs_l)
@@ -1091,8 +1077,6 @@ def search_fields_index(fields: list[tuple[str, float]],
 
 
 # ------------------------------------------------------------ composites
-_HITS_SCHEMA = _RESULT_SCHEMA.remove(1)     # per-segment rows: no rank
-
 
 def export_matches(index_dir: str, queries: list[dict],
                    cfg: EngineConfig | None = None, *,
@@ -1116,22 +1100,8 @@ def export_matches(index_dir: str, queries: list[dict],
 
 
 def _export_segment(s: SegmentSearcher, p: dict) -> pa.Table:
-    qs = p["parsed"]
-    postings = s.load_terms_cached(sorted({t for _, ts in qs for t in ts}))
-    doc_mask = s._base_mask(p["predicates"])
-    tables = []
-    for qid, terms in qs:
-        cand, scores = s._sparse_scores(terms, postings, doc_mask=doc_mask)
-        if cand.size == 0:
-            continue
-        idx = pa.array(cand)
-        tables.append(pa.table({
-            "query_id": pa.array(np.full(cand.size, qid, dtype=np.int32)),
-            "conv_id": pc.cast(s.r.conv_id.take(idx), pa.string()),
-            "turn_idx": pc.cast(s.r.turn_idx.take(idx), pa.int32()),
-            "score": pa.array(scores, pa.float64()),
-        }))
-    return pa.concat_tables(tables) if tables else _HITS_SCHEMA.empty_table()
+    return s._rows(p["parsed"], p["predicates"], lambda q, postings, mask:
+                   s._sparse_scores(q[1], postings, mask))
 
 
 _EXPLAIN_SCHEMA = pa.schema([
@@ -1153,8 +1123,8 @@ def explain_index(index_dir: str, queries: list[dict],
     those ≤ queries·k docs (broadcast hit set, postings tf looked up by
     searchsorted).  Returns (query_id, rank, conv_id, turn_idx, term,
     contrib) sorted by (query_id, rank, term)."""
-    ix = open_index(index_dir, cfg)
-    top = search_index(ix.dir, queries, cfg, predicates=predicates)
+    ix = open_index(index_dir, cfg, predicates)
+    top = _search(ix, queries, predicates=predicates)
     parsed = P.parse_queries(P.parse_terms, ix.tok, queries)
     idf_map = ix.idf_map({t for _, ts in parsed for t in ts})
     # broadcast the (query, doc, rank) hit set; conv_id keys the segment
@@ -1169,7 +1139,7 @@ def explain_index(index_dir: str, queries: list[dict],
 
 
 def _explain_segment(s: SegmentSearcher, p: dict) -> pa.Table:
-    qs, k1 = p["parsed"], p["bm25"]["k1"]
+    qs = p["parsed"]
     # segment-resident hit docs: vectorized (conv, turn) -> doc_local via
     # one pandas merge (no per-doc Python)
     seg_keys = pd.DataFrame({
@@ -1194,8 +1164,7 @@ def _explain_segment(s: SegmentSearcher, p: dict) -> pa.Table:
                 j = np.searchsorted(docs, loc)
                 if j >= docs.size or docs[j] != loc:
                     continue              # term absent from this doc
-                contrib = s.idf.get(t, 0.0) * (tfs[j] * (k1 + 1.0)) \
-                    / (tfs[j] + s.norm[loc])
+                contrib = s._contrib(s.idf.get(t, 0.0), tfs[j], s.norm[loc])
                 out.append((row["query_id"], row["rank"], row["conv_id"],
                             row["turn_idx"], t, float(contrib)))
     if not out:

@@ -38,7 +38,8 @@ import pandas as pd
 import pyarrow as pa
 
 from ..analyze import Tokenizer
-from .searcher import _RESULT_SCHEMA, _merge_topk_driver, idf
+from .searcher import (_RESULT_SCHEMA, _boolean_terms, _boosted_terms,
+                       _boosting_terms, _merge_topk_driver, idf)
 
 
 def _bag(tok: Tokenizer, text) -> list[str]:
@@ -150,7 +151,7 @@ def _bind_common(parsed, gdf, n_docs, opts):
 @dataclass(frozen=True)
 class Mode:
     parse: Callable            # (tokenizer, request dict) -> tuple
-    method: str                # SegmentSearcher method
+    method: str                # SegmentSearcher kernel on the skeleton
     merge: str                 # topk | sum | facet_stats | top_hits | rows
     schema: pa.Schema          # merged result schema
     terms: Callable = itemgetter(1)   # parsed tuple -> terms it reads
@@ -183,7 +184,7 @@ MODES: dict[str, Mode] = {
                       # warm shards amortize decodes: TAAT beats WAND there
                       warm={"prefer_taat": True}),
     "boolean": _ranked(_parse_boolean, "search_boolean", itemgetter(4),
-                       terms=lambda q: (*q[1], *q[2], *q[3])),
+                       terms=_boolean_terms),
     "proximity": _ranked(_parse_proximity, "search_proximity",
                          itemgetter(3)),
     "span_first": _ranked(_parse_span_first, "search_span_first",
@@ -191,9 +192,9 @@ MODES: dict[str, Mode] = {
     "phrase_rank": _ranked(_parse_phrase_rank, "search_ranked_phrases",
                            itemgetter(2)),
     "boosted": _ranked(_parse_boosted, "search_boosted", itemgetter(2),
-                       terms=lambda q: [t for t, _ in q[1]]),
+                       terms=_boosted_terms),
     "boosting": _ranked(_parse_boosting, "search_boosting", itemgetter(4),
-                        terms=lambda q: (*q[1], *q[2])),
+                        terms=_boosting_terms),
     "after": _ranked(_parse_after, "search_after", itemgetter(2)),
     "common": _ranked(parse_ranked, "search_common", itemgetter(3),
                       bind=_bind_common),
@@ -261,7 +262,8 @@ class Request:
 def plan(mode: str, tok: Tokenizer, queries: list[dict],
          validate: Callable | None = None, **opts) -> Request:
     """Parse and check one request of ``mode``.  ``validate`` checks a
-    query's own ``"filter"`` list (``search`` only)."""
+    query's own ``"filter"`` list (``search`` only).  A ranked mode's
+    negative k, h or offset raises; k = 0 asks for no rows."""
     entry = MODES.get(mode)
     if entry is None:
         raise ValueError(f"unknown retrieval mode {mode!r}")
@@ -272,6 +274,11 @@ def plan(mode: str, tok: Tokenizer, queries: list[dict],
             if q.get("filter") and validate is not None:
                 validate(list(q["filter"]))
         offsets = {_qid(q): int(q.get("offset", 0)) for q in queries}
+    if entry.k is not None:
+        bad = sorted(_qid(q) for q in queries if min(
+            int(q.get(f, 0)) for f in ("k", "h", "offset")) < 0)
+        if bad:
+            raise ValueError(f"negative k, h or offset for query_id {bad}")
     return Request(mode, parsed, opts, offsets)
 
 

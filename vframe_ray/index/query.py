@@ -12,8 +12,10 @@ The query engine is one mode table and its three consumers:
 - :mod:`.service`     — served execution: resident shard actors and
   QueryService;
 - :mod:`.entrypoints` — the one-shot ``*_index`` functions;
-- :mod:`.searcher`    — SegmentSearcher (BM25 full/sparse/BMW scorers,
-  phrase/proximity/boolean/facet kernels) + driver-side top-k merge;
+- :mod:`.searcher`    — SegmentSearcher: the three exact BM25 scorers
+  (sparse/full TAAT, block-max WAND) and one mode kernel per table row,
+  each its per-query logic on one skeleton (prologue, match set, top-k
+  cut, hit-row gather); plus the driver-side top-k merge;
 - :mod:`.fuzzy`       — SymSpell deletion-table + linear-scan fuzzy
   expansion.
 

@@ -1,32 +1,52 @@
-"""BM25 top-k query execution: per-segment scoring + global merge.
+"""BM25 execution on one segment: the scorers and the mode kernels.
 
-Per-segment scoring recasts the reference's classification top-k
-(reference: src/vframe/image/processors/base.py:134-146 —
-``np.argsort(preds)[::-1][:limit]`` above a threshold) into a bounded
-top-k heap over BM25 scores, with two interchangeable scorers:
+A :class:`SegmentSearcher` keeps one segment's docmap and doc-length
+norms resident and reads postings per query term (parquet predicate
+pushdown, LRU caches for raw, decoded, positional and dense-contribution
+postings).  Three interchangeable exact scorers rank a query's
+candidates (reference: src/vframe/image/processors/base.py:134-146 —
+``np.argsort(preds)[::-1][:limit]`` above a threshold, here a bounded
+top-k over BM25 scores):
 
-- ``score_full``  — exact term-at-a-time vectorized accumulation
-  (decode every posting, numpy adds); the oracle-shaped baseline.
+- ``score_sparse`` — term-at-a-time over the merged sparse candidate
+  vector (small candidate sets);
+- ``score_full``  — term-at-a-time into a dense float64 accumulator,
+  with pinned dense contribution vectors for hot terms;
 - ``score_bmw``   — document-at-a-time with WAND pivoting and
   block-max pruning: per-term global upper bounds drive the pivot,
-  per-block (max_tf, min_dl) bounds skip whole 128-doc blocks without
-  decoding them (north_star: "document-at-a-time posting-list
-  intersection with block-max WAND pruning and a bounded top-k heap").
+  per-block (max_tf, min_dl) bounds skip whole blocks without decoding
+  them.
+
+:meth:`SegmentSearcher.search` picks one per query by candidate count
+and segment size; all three are exact, so the choice never changes a
+result.
+
+Every mode kernel (the method a row of the mode table in :mod:`.plan`
+names) is only its per-query logic on one skeleton:
+
+- the prologue (``_prologue``): the base doc mask (predicates,
+  tombstones, null facet values), then ONE postings read for the union
+  of the request's terms — skipped when no doc here passes the mask;
+- the match set (``_match_set``): docs holding >= 1 of a query's terms;
+- the local top-k cut (:func:`_top_k`): (score desc, doc asc);
+- filter-then-score (``_score_hits``): BM25 restricted to a hit set;
+- the hit-row gather (``_hit_rows``): local doc ids to
+  (query_id, conv_id, turn_idx, score) rows, the same schema when
+  nothing matched;
+- one BM25 contribution expression (``_contrib``).
 
 Rank-identity guarantees (tested vs the oracle and vs each other):
 - per-doc score sums contributions in ascending query-term order →
   bit-identical float64 vs the single-process oracle;
-- heap entries are (score, -doc_local): within a segment doc_local
-  order IS (conv_id, turn_idx) order, so the worst heap element is the
-  lowest score with the largest key — exact oracle tie-break;
+- within a segment doc_local order IS (conv_id, turn_idx) order, so
+  the (score desc, doc asc) cut is the global tie-break;
 - WAND prunes only when bound < θ (strictly), so boundary ties that the
   tie-break could still admit are never lost.
 
-Distributed plan (scatter-gather, no posting ever crosses the network
-at query time): segment list Dataset → actor-pool ``map_batches``
-(searchers hold docmaps; queries + global df broadcast via ``ray.put``)
-→ per-(query, segment) top-k rows → ``groupby(query_id).map_groups``
-global merge (k·S tiny rows) → ranked table.
+Distributed plan: the mode table runs a kernel on every segment —
+one-shot as plain Ray tasks (:mod:`.scatter`), served on resident shard
+actors (:mod:`.service`) — then cuts per shard and merges on the driver
+in the same global order; no posting crosses the network at query time.
 """
 
 from __future__ import annotations
@@ -34,6 +54,8 @@ from __future__ import annotations
 import heapq
 import math
 import os
+from collections import OrderedDict
+from operator import itemgetter
 
 import numpy as np
 import pandas as pd
@@ -41,18 +63,83 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray
-import ray.data
-
-from ..config import BM25Config, EngineConfig
+from ..config import BM25Config
 from .codec import TermPostings, decode_all, decode_block
 from .segment import SegmentReader
 from ..state.manifest import terms_dir as _terms_dir
 
 
-
 def idf(n_docs: int, df: int) -> float:
     return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+
+
+def _top_k(cand: np.ndarray, scores: np.ndarray, k: int,
+           preselect: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The local top-k cut: the first ``k`` (doc, score) pairs in
+    (score desc, doc asc) order; ``k <= 0`` keeps nothing.
+    ``preselect`` first keeps only the candidates scoring >= the k-th
+    largest — an O(n) partition with boundary ties kept, so the cut is
+    unchanged — which replaces most of the O(n log n) sort on dense
+    candidate sets (VERDICT r3 serving push)."""
+    if k <= 0:
+        return cand[:0], scores[:0]
+    if preselect and cand.size > 4 * k:
+        kth = np.partition(scores, cand.size - k)[cand.size - k]
+        keep = scores >= kth
+        cand, scores = cand[keep], scores[keep]
+    order = np.lexsort((cand, -scores))[:k]
+    return cand[order], scores[order]
+
+
+def _listed(cand: np.ndarray, scores: np.ndarray) -> list[tuple[float, int]]:
+    """Cut arrays → the scorers' [(score, doc_local)] contract."""
+    return list(zip(scores.tolist(), cand.tolist()))
+
+
+def _arrays(scored: list) -> tuple[np.ndarray, np.ndarray]:
+    """[(score, doc_local)] → (docs, scores) arrays."""
+    return (np.array([d for _, d in scored], np.int64),
+            np.array([s for s, _ in scored], np.float64))
+
+
+def _flat(hits: list[tuple], *dtypes) -> list[np.ndarray]:
+    """Per-query hits [(query_id, docs, *cols)] → flat columns: the
+    query id repeated per doc, then docs and each col concatenated."""
+    qids = np.repeat(np.array([h[0] for h in hits], np.int32),
+                     [len(h[1]) for h in hits])
+    return [qids] + [np.concatenate([np.asarray(h[i], dt) for h in hits])
+                     if hits else np.empty(0, dt)
+                     for i, dt in enumerate(dtypes, 1)]
+
+
+def _counts(cols: dict, sums: tuple = ()) -> pa.Table:
+    """Doc count ``n`` (and integer ``<col>_sum`` partials) per distinct
+    key; every column not in ``sums`` is a group key.  Partials sum
+    exactly across segments because docs are segment-disjoint."""
+    keys = [c for c in cols if c not in sums]
+    # one thread: the fixed cost of a threaded group-by dominates these
+    # small per-segment partials
+    return pa.table(cols).group_by(keys, use_threads=False).aggregate(
+        [([], "count_all")] + [(c, "sum") for c in sums]).rename_columns(
+        keys + ["n"] + [f"{c}_sum" for c in sums])
+
+
+# the terms a parsed query reads, per tuple shape (the mode table's
+# ``terms`` column); every other mode reads ``q[1]``
+def _boolean_terms(q: tuple) -> tuple:
+    return (*q[1], *q[2], *q[3])
+
+
+def _boosted_terms(q: tuple) -> list[str]:
+    return [t for t, _ in q[1]]
+
+
+def _boosting_terms(q: tuple) -> tuple:
+    return (*q[1], *q[2])
+
+
+# hit-row columns after (query_id, conv_id, turn_idx): numpy, arrow type
+_COLS = {"score": (np.float64, pa.float64()), "rel": (np.int8, pa.int8())}
 
 
 class SegmentSearcher:
@@ -76,7 +163,6 @@ class SegmentSearcher:
         self.norm = bm25.k1 * (1.0 - bm25.b
                                + bm25.b * self.r.doclen / self.avgdl)
         # (term -> (docs, tfs)) decoded cache, LRU by insertion order
-        from collections import OrderedDict
         self._decode_cache: "OrderedDict[str, tuple]" = OrderedDict()
         self._decode_cache_bytes = 0
         # (term -> TermPostings) raw postings cache for repeated terms
@@ -117,6 +203,94 @@ class SegmentSearcher:
                 else (mask & self.r.alive)
         return mask
 
+    # ---------- the mode skeleton ----------
+
+    def _prologue(self, queries: list[tuple], predicates: list[str] | None,
+                  terms=itemgetter(1), facet: str | None = None
+                  ) -> tuple[dict[str, TermPostings], np.ndarray | None]:
+        """Every kernel's prologue: the base doc mask, then ONE postings
+        read for the union of the queries' ``terms``.
+
+        ``facet``: docs whose ``facet`` value is null never match — the
+        one null-facet rule of the facet modes (the Elasticsearch terms
+        aggregation without ``missing``).  When no doc here passes the
+        mask the read is skipped (zone-style segment skip: common when
+        the filtered attribute correlates with the build partitioning —
+        time-ranged extends, conv-hash routing); every mode then finds
+        no term present and returns its empty result."""
+        mask = self._base_mask(predicates)
+        if facet is not None and self.r.docs[facet].null_count:
+            valid = pc.is_valid(self.r.docs[facet]) \
+                .to_numpy(zero_copy_only=False)
+            mask = valid if mask is None else (mask & valid)
+        if mask is not None and not mask.any():
+            return {}, mask
+        return self.load_terms_cached(
+            sorted({t for q in queries for t in terms(q)})), mask
+
+    def _match_set(self, terms: list[str], postings: dict,
+                   mask: np.ndarray | None = None) -> np.ndarray:
+        """Sorted local ids of the docs holding >= 1 of ``terms`` (terms
+        absent here are ignored) that pass ``mask``."""
+        lists = [self._decode_cached(t, postings[t])[0]
+                 for t in terms if t in postings]
+        docs = np.unique(np.concatenate(lists)) if lists \
+            else np.empty(0, np.int64)
+        return docs[mask[docs]] if mask is not None else docs
+
+    def _score_hits(self, hits: np.ndarray, terms: list[str], k: int,
+                    postings: dict) -> tuple[np.ndarray, np.ndarray]:
+        """Filter-then-score: the exact TAAT scorer over the distinct
+        ``terms``, restricted to the ``hits`` docs — so filtered modes
+        carry the same bit-exact scores and tie-break as plain BM25."""
+        if hits.size == 0:
+            return _arrays([])
+        mask = np.zeros(self.r.n_docs, dtype=bool)
+        mask[hits] = True
+        return _arrays(self.score_full(sorted(set(terms)), k,
+                                       postings=postings, doc_mask=mask))
+
+    def _facet(self, col: str, docs) -> pa.ChunkedArray:
+        """``col`` values of ``docs`` as facet keys (strings)."""
+        return pc.cast(self.r.docs[col].take(docs), pa.string())
+
+    def _hit_rows(self, hits: list[tuple], cols: tuple = ("score",),
+                  facet: str | None = None) -> pa.Table:
+        """The hit-row gather: per-query hits [(query_id, docs, *cols)]
+        with local doc ids → (query_id[, facet], conv_id, turn_idx,
+        *cols) rows, one vectorized docmap take per column — the same
+        schema when nothing matched."""
+        qids, docs, *vals = _flat(hits, np.int64,
+                                  *(_COLS[c][0] for c in cols))
+        idx = pa.array(docs)
+        out = {"query_id": pa.array(qids)}
+        if facet is not None:
+            out["facet"] = self._facet(facet, idx)
+        out["conv_id"] = pc.cast(self.r.conv_id.take(idx), pa.string())
+        out["turn_idx"] = pc.cast(self.r.turn_idx.take(idx), pa.int32())
+        for c, v in zip(cols, vals):
+            out[c] = pa.array(v, _COLS[c][1])
+        return pa.table(out)
+
+    def _rows(self, queries: list[tuple], predicates: list[str] | None,
+              one, terms=itemgetter(1), cols: tuple = ("score",),
+              facet: str | None = None) -> pa.Table:
+        """A row mode: the prologue, then ``one(query, postings, mask)``
+        → (docs, *cols) per query, then the hit-row gather."""
+        postings, mask = self._prologue(queries, predicates, terms, facet)
+        return self._hit_rows([(q[0], *one(q, postings, mask))
+                               for q in queries], cols, facet)
+
+    def _match_docs(self, queries: list[tuple], predicates: list[str] | None,
+                    facet: str | None = None) -> list[np.ndarray]:
+        """Every query's full match set as flat (query_id, doc) columns —
+        the input of the count and facet aggregations."""
+        postings, mask = self._prologue(queries, predicates, facet=facet)
+        return _flat([(q[0], self._match_set(q[1], postings, mask))
+                      for q in queries], np.int64)
+
+    # ---------- postings caches ----------
+
     def load_terms_cached(self, terms: list[str]) -> dict[str, TermPostings]:
         """Postings for ``terms``, reading only cache misses from parquet
         (one filtered read per call).  Persistent searchers skip the
@@ -149,7 +323,6 @@ class SegmentSearcher:
         return hit
 
     def _decode_cached(self, t: str, tp: TermPostings):
-        from .codec import decode_all
         cached = self._decode_cache.get(t)
         if cached is not None:
             self._decode_cache.move_to_end(t)
@@ -174,7 +347,6 @@ class SegmentSearcher:
         """(docs, tfs, positions) for ``t``, LRU-cached — the positional
         sibling of :meth:`_decode_cached` (phrase / NEAR/W / ordered
         span-near all reuse it, across AND within calls)."""
-        from .codec import decode_all
         cached = self._pos_cache.get(t)
         if cached is not None:
             self._pos_cache.move_to_end(t)
@@ -232,19 +404,13 @@ class SegmentSearcher:
             self._contrib_cache.move_to_end(t)
             return ent
         docs, tfs = self._decode_cached(t, tp)
-        # identical expression/association to the scatter path below
-        c = t_idf * (tfs * (self.bm25.k1 + 1.0)) / (tfs + self.norm[docs])
+        c = self._contrib(t_idf, tfs, self.norm[docs])
         v = np.zeros(self.r.n_docs, dtype=np.float64)
         v[docs] = c
-        m = min(self.CONTRIB_TOPK, docs.size)
-        if docs.size > 4 * m:
-            kth = np.partition(c, c.size - m)[c.size - m]
-            keep = c >= kth                       # boundary ties kept
-            d2, c2 = docs[keep], c[keep]
-        else:
-            d2, c2 = docs, c
-        order = np.lexsort((d2, -c2))[:m]
-        new = (t_idf, v, d2[order], c2[order], docs.size)
+        top_docs, top_scores = _top_k(docs, c, min(self.CONTRIB_TOPK,
+                                                   docs.size),
+                                      preselect=True)
+        new = (t_idf, v, top_docs, top_scores, docs.size)
         if ent is not None:                       # idf changed: replace
             self._contrib_cache_bytes -= ent[1].nbytes
             del self._contrib_cache[t]
@@ -256,101 +422,69 @@ class SegmentSearcher:
             self._contrib_cache_bytes -= _e[1].nbytes
         return new
 
+    def _contrib(self, t_idf, tf, norm):
+        """The BM25 contribution of one term, scalar or vectorized.  The
+        evaluation order idf * (tf*(k1+1)) / (tf+norm) is bit-identical
+        to the oracle's (SURVEY.md §7.4); every scorer, the block upper
+        bounds and explain share this one expression."""
+        return t_idf * (tf * (self.bm25.k1 + 1.0)) / (tf + norm)
+
     # ---------- exact baseline: term-at-a-time vectorized ----------
 
     def score_full(self, terms: list[str], k: int,
                    postings: dict[str, TermPostings] | None = None,
-                   decode_cache: dict | None = None,
                    doc_mask: np.ndarray | None = None
                    ) -> list[tuple[float, int]]:
         """Returns [(score, doc_local)] sorted (score desc, doc_local asc).
 
         Accumulates per ascending term order into a dense float64 array →
-        summation order per doc identical to the oracle's.
-        ``decode_cache`` memoizes decoded (docs, tfs) per term so a batch
-        of queries sharing terms decodes each posting list once.
-        """
+        summation order per doc identical to the oracle's."""
         if postings is None:
             postings = self.r.load_terms(terms)
-        n = self.r.n_docs
-        n_present = sum(1 for t in terms if t in postings)
-        dense_entries: list[tuple] = []
-        if decode_cache is None and doc_mask is None and n_present == 1 \
-                and len(terms) == 1:
+        present = [t for t in sorted(terms) if t in postings]
+        if doc_mask is None and len(terms) == 1 and present:
             # single-term fast path: the cached (contrib desc, doc asc)
             # prefix IS the exact result (score == contrib bit-exactly:
             # 0.0 + x == x)
-            t = next(t for t in terms if t in postings)
-            ent = self._contrib_dense_cached(t, postings[t])
-            if ent is not None:
-                _i, _v, td, ts_, df = ent
-                if k <= td.size or td.size == df:
-                    kk = min(k, td.size)
-                    return [(float(ts_[i]), int(td[i])) for i in range(kk)]
+            ent = self._contrib_dense_cached(present[0],
+                                             postings[present[0]])
+            if ent is not None and (k <= ent[2].size
+                                    or ent[2].size == ent[4]):
+                return _listed(ent[2][:k], ent[3][:k])
+        n = self.r.n_docs
         scores = np.zeros(n, dtype=np.float64)
         seen: np.ndarray | None = None   # lazily allocated (scatter terms
         # only); dense-cached terms mark candidacy via scores > 0 instead
-        k1 = self.bm25.k1
-        for t in sorted(terms):
-            tp = postings.get(t)
-            if tp is None:
+        dense_entries: list[tuple] = []
+        for t in present:
+            ent = self._contrib_dense_cached(t, postings[t])
+            if ent is not None:          # hot term: one dense add
+                scores += ent[1]
+                dense_entries.append(ent)
                 continue
-            if decode_cache is None:
-                ent = self._contrib_dense_cached(t, tp)
-                if ent is not None:      # hot term: one dense add
-                    scores += ent[1]
-                    dense_entries.append(ent)
-                    continue
-                docs, tfs = self._decode_cached(t, tp)
-            elif t in decode_cache:
-                docs, tfs = decode_cache[t]
-            else:
-                docs, tfs = decode_all(tp, self.block_size)
-                tfs = tfs.astype(np.float64)
-                decode_cache[t] = (docs, tfs)
-            if tfs.dtype != np.float64:
-                tfs = tfs.astype(np.float64)
-            # evaluation order fixed as idf * (tf*(k1+1)) / (tf+norm) —
-            # bit-identical to the oracle (SURVEY.md §7.4)
-            contrib = self.idf.get(t, 0.0) * (tfs * (k1 + 1.0)) \
-                / (tfs + self.norm[docs])
-            scores[docs] += contrib
+            docs, tfs = self._decode_cached(t, postings[t])
+            scores[docs] += self._contrib(self.idf.get(t, 0.0), tfs,
+                                          self.norm[docs])
             if seen is None:
                 seen = np.zeros(n, dtype=bool)
             seen[docs] = True
-        dense_any = bool(dense_entries)
-        if seen is None and not dense_any:
+        if seen is None and not dense_entries:
             return []                    # no query term present here
-        if doc_mask is None and dense_any:
+        if doc_mask is None and dense_entries:
             # τ-threshold fast cut: ≥ k docs carry single-term contrib
             # ≥ τ for some term, hence ≥ k docs score ≥ τ (all other
             # contributions are ≥ 0) and no top-k member scores below τ —
             # the scan collapses to one vectorized compare.  Invalid
             # under doc_mask (the masked kth score may be lower).
-            taus = [e[3][k - 1] for e in dense_entries if e[3].size >= k]
+            taus = [e[3][k - 1] for e in dense_entries
+                    if 0 < k <= e[3].size]
             if taus:
-                tau = max(taus)
-                cand = np.flatnonzero(scores >= tau)
-                sc = scores[cand]
-                if cand.size > 4 * k:
-                    kth = np.partition(sc, cand.size - k)[cand.size - k]
-                    keep = sc >= kth
-                    cand, sc = cand[keep], sc[keep]
-                order = np.lexsort((cand, -sc))[:k]
-                return [(float(sc[i]), int(cand[i])) for i in order]
-        if seen is None and doc_mask is None and n > 4 * k:
-            # pure-dense fallback (k above the cached prefix): all
-            # contributions are > 0, so candidates are exactly scores > 0
-            # and the full vector partitions directly
-            kth = np.partition(scores, n - k)[n - k]
-            if kth > 0.0:
-                cand = np.flatnonzero(scores >= kth)   # ties kept
-                sc = scores[cand]
-                order = np.lexsort((cand, -sc))[:k]
-                return [(float(sc[i]), int(cand[i])) for i in order]
+                cand = np.flatnonzero(scores >= max(taus))
+                return _listed(*_top_k(cand, scores[cand], k,
+                                       preselect=True))
         if seen is None:
             cand_mask = scores > 0.0
-        elif dense_any:
+        elif dense_entries:
             cand_mask = seen | (scores > 0.0)
         else:
             cand_mask = seen
@@ -358,20 +492,7 @@ class SegmentSearcher:
             cand_mask &= doc_mask      # attribute predicate (skip-labels
             # analog): masked docs can never enter the result set
         cand = np.flatnonzero(cand_mask)
-        if cand.size == 0:
-            return []
-        sc = scores[cand]
-        if cand.size > 4 * k:
-            # top-k preselect: keep every candidate scoring >= the k-th
-            # largest value (boundary ties included, so the exact
-            # (score desc, doc asc) cut below is unchanged) — O(n)
-            # partition replaces the O(n log n) full lexsort that
-            # dominated hot-term queries (VERDICT r3 serving push)
-            kth = np.partition(sc, cand.size - k)[cand.size - k]
-            keep = sc >= kth
-            cand, sc = cand[keep], sc[keep]
-        order = np.lexsort((cand, -sc))[:k]
-        return [(float(sc[i]), int(cand[i])) for i in order]
+        return _listed(*_top_k(cand, scores[cand], k, preselect=True))
 
     # ---------- sparse TAAT (small candidate sets) ----------
 
@@ -386,23 +507,17 @@ class SegmentSearcher:
                        doc_mask: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
         """Exact TAAT over a merged sparse candidate vector: candidates =
-        union of the terms' posting doc ids, contributions scattered by
-        ``searchsorted`` position in ascending term order (same float
-        summation order per doc as the oracle).  Returns (cand, scores)
-        uncut — callers apply their own selection."""
+        the terms' match set, contributions scattered by ``searchsorted``
+        position in ascending term order (same float summation order per
+        doc as the oracle).  Returns (cand, scores) uncut — callers apply
+        their own selection."""
         terms_in = sorted(t for t in terms if t in postings)
-        if not terms_in:
-            return (np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64))
-        decoded = [(t,) + tuple(self._decode_cached(t, postings[t]))
-                   for t in terms_in]
-        cand = np.unique(np.concatenate([d for _, d, _ in decoded]))
+        cand = self._match_set(terms_in, postings)
         scores = np.zeros(cand.size, dtype=np.float64)
-        k1 = self.bm25.k1
-        for t, docs, tfs in decoded:    # ascending term order == oracle
-            contrib = self.idf.get(t, 0.0) * (tfs * (k1 + 1.0)) \
-                / (tfs + self.norm[docs])
-            scores[np.searchsorted(cand, docs)] += contrib
+        for t in terms_in:              # ascending term order == oracle
+            docs, tfs = self._decode_cached(t, postings[t])
+            scores[np.searchsorted(cand, docs)] += self._contrib(
+                self.idf.get(t, 0.0), tfs, self.norm[docs])
         if doc_mask is not None:
             m = doc_mask[cand]
             cand, scores = cand[m], scores[m]
@@ -417,26 +532,17 @@ class SegmentSearcher:
         tie-break) without the O(n_docs) dense accumulator."""
         if postings is None:
             postings = self.r.load_terms(terms)
-        cand, scores = self._sparse_scores(terms, postings,
-                                           doc_mask=doc_mask)
-        if cand.size == 0:
-            return []
-        order = np.lexsort((cand, -scores))[:k]
-        return [(float(scores[i]), int(cand[i])) for i in order]
+        return _listed(*_top_k(*self._sparse_scores(terms, postings,
+                                                    doc_mask), k))
 
     # ---------- block-max WAND ----------
-
-    def _term_contrib(self, t_idf: float, tf: float, dl_norm: float) -> float:
-        k1 = self.bm25.k1
-        # same association as the oracle: idf * (tf*(k1+1)) / (tf+norm)
-        return t_idf * (tf * (k1 + 1.0)) / (tf + dl_norm)
 
     def _block_ub(self, t_idf: float, max_tf: int, min_dl: int) -> float:
         """Upper bound of the term's contribution within a block: the BM25
         term is increasing in tf and decreasing in dl."""
         k1, b = self.bm25.k1, self.bm25.b
-        norm = k1 * (1.0 - b + b * min_dl / self.avgdl)
-        return t_idf * max_tf * (k1 + 1.0) / (max_tf + norm)
+        return self._contrib(t_idf, max_tf,
+                             k1 * (1.0 - b + b * min_dl / self.avgdl))
 
     def score_bmw(self, terms: list[str], k: int,
                   postings: dict[str, TermPostings] | None = None,
@@ -447,7 +553,7 @@ class SegmentSearcher:
         if postings is None:
             postings = self.r.load_terms(terms)
         terms = sorted(t for t in terms if t in postings)
-        if not terms:
+        if not terms or k <= 0:
             return []
         bs = self.block_size
 
@@ -541,8 +647,8 @@ class SegmentSearcher:
                     s = 0.0
                     for c in sorted((c for c in live if c.doc == pivot_doc),
                                     key=lambda c: c.term):
-                        s += self._term_contrib(c.tidf, float(c.tfs[c.i]),
-                                                dl_norm)
+                        s += self._contrib(c.tidf, float(c.tfs[c.i]),
+                                           dl_norm)
                     entry = (s, -pivot_doc)
                     if len(heap) < k:
                         heapq.heappush(heap, entry)
@@ -566,7 +672,7 @@ class SegmentSearcher:
                      key=lambda sd: (-sd[0], sd[1]))
         return [(float(s), int(d)) for s, d in out]
 
-    # ---------- positional phrase matching ----------
+    # ---------- positional matching ----------
 
     def phrase_hits(self, terms: list[str],
                     postings: dict[str, TermPostings] | None = None,
@@ -578,10 +684,7 @@ class SegmentSearcher:
 
         Vectorized intersection: each phrase slot i contributes the key
         set {doc << 32 | (pos - i) : pos >= i}; a phrase occurrence at
-        (doc, p) is exactly a key present in EVERY slot's set.  Runs
-        INSIDE the searcher (scatter-gather like BM25) — the round-1
-        driver-side segment loop is gone (VERDICT: driver materialization
-        died at many-segment scale).
+        (doc, p) is exactly a key present in EVERY slot's set.
         """
         if not terms:
             return np.empty(0, dtype=np.int64)
@@ -605,69 +708,6 @@ class SegmentSearcher:
             hit = hit[doc_mask[hit]]
         return hit
 
-    def search_phrases(self, queries: list[tuple[int, list[str]]],
-                       predicates: list[str] | None = None) -> pa.Table:
-        """queries: [(query_id, phrase_terms)] -> (query_id, conv_id,
-        turn_idx) rows of phrase-matching docs in this segment."""
-        all_terms = sorted(set().union(*[set(t) for _, t in queries])
-                           ) if queries else []
-        postings = self.load_terms_cached(all_terms)
-        doc_mask = self._base_mask(predicates)
-        qid_out: list[int] = []
-        conv_out: list = []
-        turn_out: list = []
-        for qid, terms in queries:
-            hits = self.phrase_hits(terms, postings=postings,
-                                    doc_mask=doc_mask)
-            for d in hits:
-                qid_out.append(qid)
-                conv_out.append(self.r.conv_id[int(d)].as_py())
-                turn_out.append(self.r.turn_idx[int(d)].as_py())
-        return pa.table({
-            "query_id": pa.array(qid_out, pa.int32()),
-            "conv_id": pa.array(conv_out, pa.string()),
-            "turn_idx": pa.array(turn_out, pa.int32()),
-        })
-
-    def search_ranked_phrases(self, queries: list[tuple[int, list[str], int]],
-                              predicates: list[str] | None = None
-                              ) -> pa.Table:
-        """queries: [(query_id, phrase_terms, k)] -> scored result rows.
-
-        Phrase-as-filter + BM25 score (VERDICT r2 missing #3: the
-        reference always scores what it returns, base.py:134-146):
-        positional intersection produces the hit set, which then acts as
-        a doc_mask for the exact TAAT scorer over the phrase's distinct
-        terms — so ranked phrase results carry the same bit-exact scores
-        and tie-break as plain BM25 restricted to phrase hits."""
-        all_terms = sorted(set().union(*[set(t) for _, t, _ in queries])
-                           ) if queries else []
-        postings = self.load_terms_cached(all_terms)
-        doc_mask = self._base_mask(predicates)
-        qid_out: list[int] = []
-        doc_out: list[int] = []
-        score_out: list[float] = []
-        for qid, terms, k in queries:
-            hits = self.phrase_hits(terms, postings=postings,
-                                    doc_mask=doc_mask)
-            if hits.size == 0:
-                continue
-            mask = np.zeros(self.r.n_docs, dtype=bool)
-            mask[hits] = True
-            scored = self.score_full(sorted(set(terms)), k,
-                                     postings=postings, doc_mask=mask)
-            for s, d in scored:
-                qid_out.append(qid)
-                doc_out.append(d)
-                score_out.append(s)
-        idx = pa.array(doc_out, pa.int64())
-        return pa.table({
-            "query_id": pa.array(qid_out, pa.int32()),
-            "conv_id": pc.cast(self.r.conv_id.take(idx), pa.string()),
-            "turn_idx": pc.cast(self.r.turn_idx.take(idx), pa.int32()),
-            "score": pa.array(score_out, pa.float64()),
-        })
-
     def proximity_hits_ordered(self, terms: list[str], window: int,
                                postings: dict[str, TermPostings] | None
                                = None,
@@ -679,7 +719,6 @@ class SegmentSearcher:
         first term, all advanced together with one searchsorted per
         hop — the greedy chain is span-minimal for its start, so the
         final span check decides existence."""
-        from .codec import decode_all
         if not terms:
             return np.empty(0, dtype=np.int64)
         distinct = sorted(set(terms))
@@ -688,9 +727,7 @@ class SegmentSearcher:
         if any(t not in postings for t in distinct):
             return np.empty(0, dtype=np.int64)
         if len(terms) == 1:
-            docs, _ = decode_all(postings[terms[0]], self.block_size)
-            hit = docs.astype(np.int64)
-            return hit[doc_mask[hit]] if doc_mask is not None else hit
+            return self._match_set(terms, postings, doc_mask)
         decoded = {}
         cand: np.ndarray | None = None
         for t in distinct:
@@ -749,7 +786,6 @@ class SegmentSearcher:
         Reference analog: skip-detections' conjunctive within-frame
         predicates (media.py:422-452) with the positional payload
         standing in for bbox adjacency."""
-        from .codec import decode_all
         terms = sorted(set(terms))
         if not terms:
             return np.empty(0, dtype=np.int64)
@@ -759,9 +795,7 @@ class SegmentSearcher:
             return np.empty(0, dtype=np.int64)
         m = len(terms)
         if m == 1:
-            docs, _ = decode_all(postings[terms[0]], self.block_size)
-            hit = docs.astype(np.int64)
-            return hit[doc_mask[hit]] if doc_mask is not None else hit
+            return self._match_set(terms, postings, doc_mask)
         if m == 2:
             # vectorized pair fast path (the common NEAR/W shape): both
             # terms' occurrences as PINNED sorted doc<<32|pos key arrays
@@ -834,52 +868,6 @@ class SegmentSearcher:
         hit_rows = rows[p[rows] - p[min_latest[rows]] <= span]
         return np.unique(d[hit_rows])
 
-    def search_proximity(self, queries: list[tuple[int, list[str], int, int]],
-                         predicates: list[str] | None = None) -> pa.Table:
-        """queries: [(query_id, terms, window, k)] -> scored result rows.
-
-        Proximity-as-filter + BM25 score: the NEAR/W hit set acts as the
-        doc_mask for the exact TAAT scorer over the query's distinct
-        terms — the same contribution expression and tie-break as plain
-        search, so window=∞ reduces to an AND-filtered plain query and
-        window=len(terms) with ordered adjacency is strictly looser than
-        the phrase path (both asserted in tests).
-
-        A query tuple may carry a 5th element ``ordered`` (default
-        False): ordered span-near — terms in the GIVEN order with
-        increasing positions (proximity_hits_ordered)."""
-        all_terms = sorted(set().union(*[set(q[1]) for q in queries])
-                           ) if queries else []
-        postings = self.load_terms_cached(all_terms)
-        doc_mask = self._base_mask(predicates)
-        qid_out: list[int] = []
-        doc_out: list[int] = []
-        score_out: list[float] = []
-        for q in queries:
-            qid, terms, window, k = q[0], q[1], q[2], q[3]
-            ordered = bool(q[4]) if len(q) > 4 else False
-            hit_fn = self.proximity_hits_ordered if ordered \
-                else self.proximity_hits
-            hits = hit_fn(terms, window, postings=postings,
-                          doc_mask=doc_mask)
-            if hits.size == 0:
-                continue
-            mask = np.zeros(self.r.n_docs, dtype=bool)
-            mask[hits] = True
-            scored = self.score_full(sorted(set(terms)), k,
-                                     postings=postings, doc_mask=mask)
-            for sc, dd in scored:
-                qid_out.append(qid)
-                doc_out.append(dd)
-                score_out.append(sc)
-        idx = pa.array(doc_out, pa.int64())
-        return pa.table({
-            "query_id": pa.array(qid_out, pa.int32()),
-            "conv_id": pc.cast(self.r.conv_id.take(idx), pa.string()),
-            "turn_idx": pc.cast(self.r.turn_idx.take(idx), pa.int32()),
-            "score": pa.array(score_out, pa.float64()),
-        })
-
     def span_first_hits(self, terms: list[str], limit: int,
                         postings: dict[str, TermPostings] | None = None,
                         doc_mask: np.ndarray | None = None) -> np.ndarray:
@@ -912,43 +900,79 @@ class SegmentSearcher:
         cand = cand.astype(np.int64)
         return cand[doc_mask[cand]] if doc_mask is not None else cand
 
+    def _must_docs(self, terms: list[str],
+                   postings: dict, doc_mask: "np.ndarray | None"
+                   ) -> np.ndarray:
+        """Segment-local doc ids containing EVERY term, intersected
+        rarest-first (empty when any term is absent from the segment...
+        which does NOT mean the doc set is empty globally — doc sets are
+        segment-disjoint, so the global must-set is the union of
+        per-segment must-sets)."""
+        if not terms or any(t not in postings for t in terms):
+            return np.empty(0, np.int64)
+        out = None
+        for t in sorted(terms, key=lambda t: postings[t].n_docs):
+            docs = self._decode_cached(t, postings[t])[0]
+            out = docs if out is None else \
+                np.intersect1d(out, docs, assume_unique=True)
+        return out[doc_mask[out]] if doc_mask is not None else out
+
+    # ---------- mode kernels ----------
+
+    def search_phrases(self, queries: list[tuple[int, list[str]]],
+                       predicates: list[str] | None = None) -> pa.Table:
+        """queries: [(query_id, phrase_terms)] -> (query_id, conv_id,
+        turn_idx) rows of phrase-matching docs in this segment."""
+        return self._rows(queries, predicates,
+                          lambda q, p, m: (self.phrase_hits(q[1], p, m),),
+                          cols=())
+
+    def search_ranked_phrases(self, queries: list[tuple[int, list[str], int]],
+                              predicates: list[str] | None = None
+                              ) -> pa.Table:
+        """queries: [(query_id, phrase_terms, k)] -> scored result rows.
+
+        Phrase-as-filter + BM25 score (VERDICT r2 missing #3: the
+        reference always scores what it returns, base.py:134-146):
+        positional intersection produces the hit set, which then masks
+        the exact TAAT scorer over the phrase's distinct terms."""
+        return self._rows(queries, predicates, lambda q, p, m:
+                          self._score_hits(self.phrase_hits(q[1], p, m),
+                                           q[1], q[2], p))
+
+    def search_proximity(self, queries: list[tuple[int, list[str], int, int]],
+                         predicates: list[str] | None = None) -> pa.Table:
+        """queries: [(query_id, terms, window, k)] -> scored result rows.
+
+        Proximity-as-filter + BM25 score: the NEAR/W hit set masks the
+        exact TAAT scorer over the query's distinct terms, so window=∞
+        reduces to an AND-filtered plain query and window=len(terms)
+        with ordered adjacency is strictly looser than the phrase path
+        (both asserted in tests).
+
+        A query tuple may carry a 5th element ``ordered`` (default
+        False): ordered span-near — terms in the GIVEN order with
+        increasing positions (proximity_hits_ordered)."""
+        def one(q, postings, mask):
+            hits = self.proximity_hits_ordered if len(q) > 4 and q[4] \
+                else self.proximity_hits
+            return self._score_hits(hits(q[1], q[2], postings, mask),
+                                    q[1], q[3], postings)
+        return self._rows(queries, predicates, one)
+
     def search_span_first(self, queries: list[tuple[int, list[str],
                                                     int, int]],
                           predicates: list[str] | None = None
                           ) -> pa.Table:
         """queries: [(query_id, terms, limit, k)] -> scored result rows.
 
-        Span-first-as-filter + BM25 score — the same filter-then-
-        exact-TAAT shape as :meth:`search_proximity`: the hit set masks
-        the full scorer, so limit >= max doc length reduces to the
-        boolean AND of the terms (asserted in tests)."""
-        all_terms = sorted(set().union(*[set(q[1]) for q in queries])
-                           ) if queries else []
-        postings = self.load_terms_cached(all_terms)
-        doc_mask = self._base_mask(predicates)
-        qid_out: list[int] = []
-        doc_out: list[int] = []
-        score_out: list[float] = []
-        for qid, terms, limit, k in queries:
-            hits = self.span_first_hits(terms, limit, postings=postings,
-                                        doc_mask=doc_mask)
-            if hits.size == 0:
-                continue
-            mask = np.zeros(self.r.n_docs, dtype=bool)
-            mask[hits] = True
-            scored = self.score_full(sorted(set(terms)), k,
-                                     postings=postings, doc_mask=mask)
-            for sc, dd in scored:
-                qid_out.append(qid)
-                doc_out.append(dd)
-                score_out.append(sc)
-        idx = pa.array(doc_out, pa.int64())
-        return pa.table({
-            "query_id": pa.array(qid_out, pa.int32()),
-            "conv_id": pc.cast(self.r.conv_id.take(idx), pa.string()),
-            "turn_idx": pc.cast(self.r.turn_idx.take(idx), pa.int32()),
-            "score": pa.array(score_out, pa.float64()),
-        })
+        Span-first-as-filter + BM25 score — the same filter-then-score
+        shape as :meth:`search_proximity`, so limit >= max doc length
+        reduces to the boolean AND of the terms (asserted in tests)."""
+        return self._rows(queries, predicates, lambda q, p, m:
+                          self._score_hits(self.span_first_hits(q[1], q[2],
+                                                                p, m),
+                                           q[1], q[3], p))
 
     def search_common(self, queries: list[tuple[int, list[str],
                                                list[str], int]],
@@ -964,43 +988,10 @@ class SegmentSearcher:
         split is decided by the caller against GLOBAL df (the segment
         can't know it); an empty low list means every term was high-df
         and the query falls back to plain any-term recall."""
-        from .codec import decode_all
-        all_terms = sorted(set().union(*[set(q[1]) for q in queries])
-                           ) if queries else []
-        postings = self.load_terms_cached(all_terms)
-        doc_mask = self._base_mask(predicates)
-        qid_out: list[int] = []
-        doc_out: list[int] = []
-        score_out: list[float] = []
-        for qid, terms, low, k in queries:
-            drivers = [t for t in (low if low else terms)
-                       if t in postings]
-            if not drivers:
-                continue
-            hit_sets = []
-            for t in drivers:
-                docs, _ = decode_all(postings[t], self.block_size)
-                hit_sets.append(docs.astype(np.int64))
-            hits = np.unique(np.concatenate(hit_sets))
-            if doc_mask is not None:
-                hits = hits[doc_mask[hits]]
-            if hits.size == 0:
-                continue
-            mask = np.zeros(self.r.n_docs, dtype=bool)
-            mask[hits] = True
-            scored = self.score_full(sorted(set(terms)), k,
-                                     postings=postings, doc_mask=mask)
-            for sc, dd in scored:
-                qid_out.append(qid)
-                doc_out.append(dd)
-                score_out.append(sc)
-        idx = pa.array(doc_out, pa.int64())
-        return pa.table({
-            "query_id": pa.array(qid_out, pa.int32()),
-            "conv_id": pc.cast(self.r.conv_id.take(idx), pa.string()),
-            "turn_idx": pc.cast(self.r.turn_idx.take(idx), pa.int32()),
-            "score": pa.array(score_out, pa.float64()),
-        })
+        return self._rows(queries, predicates, lambda q, p, m:
+                          self._score_hits(self._match_set(q[2] or q[1],
+                                                           p, m),
+                                           q[1], q[3], p))
 
     def match_sorted_by_attr(self, queries: list[tuple[int, list[str],
                                                        int]],
@@ -1013,42 +1004,13 @@ class SegmentSearcher:
         column IS the attribute value, so the ordinary
         (score desc, conv_id, turn_idx) shard/driver top-k merges
         produce the field ordering with zero new merge machinery."""
-        from .codec import decode_all
-        all_terms = sorted(set().union(*[set(q[1]) for q in queries])
-                           ) if queries else []
-        postings = self.load_terms_cached(all_terms)
-        doc_mask = self._base_mask(predicates)
         vals = self.r.docs[attr].to_numpy(zero_copy_only=False) \
             .astype(np.float64)
-        conv = self.r.conv_id.to_pandas().to_numpy(dtype=object)
-        turn = self.r.turn_idx.to_numpy(zero_copy_only=False)
-        qid_out: list[int] = []
-        doc_out: list[int] = []
-        score_out: list[float] = []
-        for qid, terms, k in queries:
-            terms_in = [t for t in terms if t in postings]
-            if not terms_in:
-                continue
-            docs = np.unique(np.concatenate(
-                [decode_all(postings[t], self.block_size)[0]
-                 .astype(np.int64) for t in terms_in]))
-            if doc_mask is not None:
-                docs = docs[doc_mask[docs]]
-            if docs.size == 0:
-                continue
-            order = np.lexsort((turn[docs], conv[docs],
-                                -vals[docs]))[:k]
-            for i in order:
-                qid_out.append(qid)
-                doc_out.append(int(docs[i]))
-                score_out.append(float(vals[docs[i]]))
-        idx = pa.array(doc_out, pa.int64())
-        return pa.table({
-            "query_id": pa.array(qid_out, pa.int32()),
-            "conv_id": pc.cast(self.r.conv_id.take(idx), pa.string()),
-            "turn_idx": pc.cast(self.r.turn_idx.take(idx), pa.int32()),
-            "score": pa.array(score_out, pa.float64()),
-        })
+
+        def one(q, postings, mask):
+            docs = self._match_set(q[1], postings, mask)
+            return _top_k(docs, vals[docs], q[2])
+        return self._rows(queries, predicates, one)
 
     def search_after(self, queries: list[tuple],
                      predicates: list[str] | None = None) -> pa.Table:
@@ -1064,47 +1026,23 @@ class SegmentSearcher:
         Exactness leans on bit-exact scores: the engine's float64 BM25
         sums are reproducible (property-tested vs the oracle), so the
         equality arm of the cursor comparison is well-defined."""
-        all_terms = sorted(set().union(*[set(t) for _, t, _, _ in queries])
-                           ) if queries else []
-        postings = self.load_terms_cached(all_terms)
-        doc_mask = self._base_mask(predicates)
-        qid_out: list[int] = []
-        doc_out: list[int] = []
-        score_out: list[float] = []
-        for qid, terms, k, cursor in queries:
+        def one(q, postings, mask):
+            _qid, terms, k, (cs, c_conv, c_turn) = q
             cand, scores = self._sparse_scores(sorted(set(terms)),
-                                               postings,
-                                               doc_mask=doc_mask)
-            if cand.size == 0:
-                continue
-            cs, c_conv, c_turn = cursor
+                                               postings, mask)
             keep = scores < cs
             eq = np.flatnonzero(scores == cs)
             if eq.size:
                 # identity tie-break on the few score-equal docs only
-                conv = np.asarray(
-                    self.r.conv_id.take(pa.array(cand[eq])).to_pylist(),
-                    dtype=object)
-                turn = self.r.turn_idx.take(pa.array(cand[eq])) \
+                idx = pa.array(cand[eq])
+                conv = np.asarray(self.r.conv_id.take(idx).to_pylist(),
+                                  dtype=object)
+                turn = self.r.turn_idx.take(idx) \
                     .to_numpy(zero_copy_only=False)
-                after = (conv > c_conv) | ((conv == c_conv)
-                                           & (turn > c_turn))
-                keep[eq] |= after
-            cand2, sc2 = cand[keep], scores[keep]
-            if cand2.size == 0:
-                continue
-            order = np.lexsort((cand2, -sc2))[:k]
-            for i in order:
-                qid_out.append(qid)
-                doc_out.append(int(cand2[i]))
-                score_out.append(float(sc2[i]))
-        idx = pa.array(doc_out, pa.int64())
-        return pa.table({
-            "query_id": pa.array(qid_out, pa.int32()),
-            "conv_id": pc.cast(self.r.conv_id.take(idx), pa.string()),
-            "turn_idx": pc.cast(self.r.turn_idx.take(idx), pa.int32()),
-            "score": pa.array(score_out, pa.float64()),
-        })
+                keep[eq] |= (conv > c_conv) | ((conv == c_conv)
+                                               & (turn > c_turn))
+            return _top_k(cand[keep], scores[keep], k)
+        return self._rows(queries, predicates, one)
 
     def search_boosted(self, queries: list[tuple[int, list[tuple], int]],
                        base_idf: dict[str, float],
@@ -1117,35 +1055,18 @@ class SegmentSearcher:
         the idf actually in effect (boost=1 terms keep their cache).
         Reference analog: per-model confidence-threshold weighting in
         OR-composed skip-detections (skip-detections.py:30-53)."""
-        all_terms = sorted(set(t for _, tb, _ in queries for t, _ in tb))
-        postings = self.load_terms_cached(all_terms)
-        doc_mask = self._base_mask(predicates)
         saved_idf = self.idf
-        qid_out: list[int] = []
-        doc_out: list[int] = []
-        score_out: list[float] = []
+
+        def one(q, postings, mask):
+            # last boost of a term wins
+            self.idf = {t: float(b) * base_idf.get(t, 0.0) for t, b in q[1]}
+            return _arrays(self.score_full(sorted(self.idf), q[2],
+                                           postings=postings,
+                                           doc_mask=mask))
         try:
-            for qid, term_boosts, k in queries:
-                eff = {}
-                for t, bst in term_boosts:          # last boost wins
-                    eff[t] = float(bst) * base_idf.get(t, 0.0)
-                self.idf = eff
-                scored = self.score_full(sorted(eff), k,
-                                         postings=postings,
-                                         doc_mask=doc_mask)
-                for sc, dd in scored:
-                    qid_out.append(qid)
-                    doc_out.append(dd)
-                    score_out.append(sc)
+            return self._rows(queries, predicates, one, _boosted_terms)
         finally:
             self.idf = saved_idf
-        idx = pa.array(doc_out, pa.int64())
-        return pa.table({
-            "query_id": pa.array(qid_out, pa.int32()),
-            "conv_id": pc.cast(self.r.conv_id.take(idx), pa.string()),
-            "turn_idx": pc.cast(self.r.turn_idx.take(idx), pa.int32()),
-            "score": pa.array(score_out, pa.float64()),
-        })
 
     def search_boosting(self, queries: list[tuple],
                         predicates: list[str] | None = None) -> pa.Table:
@@ -1156,81 +1077,38 @@ class SegmentSearcher:
 
         queries: [(query_id, pos_terms, neg_terms, negative_boost, k)].
         """
-        terms_all = sorted(set().union(
-            *[set(p) | set(n) for _, p, n, _, _ in queries])) \
-            if queries else []
-        postings = self.load_terms_cached(terms_all)
-        doc_mask = self._base_mask(predicates)
-        tables = []
-        for qid, pos, neg, nb, k in queries:
-            cand, scores = self._sparse_scores(pos, postings,
-                                               doc_mask=doc_mask)
-            if cand.size == 0:
-                continue
+        def one(q, postings, mask):
+            _qid, pos, neg, nb, k = q
+            cand, scores = self._sparse_scores(pos, postings, mask)
             if neg:
-                candn, _ = self._sparse_scores(neg, postings)
-                if candn.size:
-                    scores = np.where(np.isin(cand, candn),
-                                      scores * nb, scores)
-            order = np.lexsort((cand, -scores))[:k]
-            idx = pa.array(cand[order])
-            tables.append(pa.table({
-                "query_id": pa.array(
-                    np.full(len(order), qid, dtype=np.int32)),
-                "conv_id": pc.cast(self.r.conv_id.take(idx), pa.string()),
-                "turn_idx": pc.cast(self.r.turn_idx.take(idx),
-                                    pa.int32()),
-                "score": pa.array(scores[order], pa.float64()),
-            }))
-        if not tables:
-            return pa.table({"query_id": pa.array([], pa.int32()),
-                             "conv_id": pa.array([], pa.string()),
-                             "turn_idx": pa.array([], pa.int32()),
-                             "score": pa.array([], pa.float64())})
-        return pa.concat_tables(tables)
+                scores = np.where(
+                    np.isin(cand, self._match_set(neg, postings)),
+                    scores * nb, scores)
+            return _top_k(cand, scores, k)
+        return self._rows(queries, predicates, one, _boosting_terms)
 
     def top_hits_by_facet(self, queries: list[tuple], facet_col: str,
                           predicates: list[str] | None = None
                           ) -> pa.Table:
         """ES ``top_hits``-per-bucket aggregation over this segment:
         for each (query, facet value) the top-``h`` matching docs by
-        BM25 — the "best example per category" search report.
+        BM25 — the "best example per category" search report.  Docs
+        whose facet value is null are in no bucket.
 
         queries: [(query_id, terms, h)].  Emits ≤ h rows per (query,
         facet) per segment — superset-safe for the cross-segment merge
         (a doc's facet value never changes across segments)."""
-        import pandas as pd
-        all_terms = sorted(set().union(*[set(t) for _, t, _ in queries])
-                           ) if queries else []
-        postings = self.load_terms_cached(all_terms)
-        doc_mask = self._base_mask(predicates)
-        attr = self.r.docs[facet_col]
-        tables = []
-        for qid, terms, h in queries:
-            cand, scores = self._sparse_scores(terms, postings,
-                                               doc_mask=doc_mask)
-            if cand.size == 0:
-                continue
-            idx = pa.array(cand)
-            df = pd.DataFrame({
-                "facet": attr.take(idx)
-                .to_numpy(zero_copy_only=False).astype(object),
-                "conv_id": self.r.conv_id.take(idx)
-                .to_numpy(zero_copy_only=False).astype(object),
-                "turn_idx": self.r.turn_idx.take(idx)
-                .to_numpy(zero_copy_only=False).astype(np.int64),
-                "score": scores})
-            df = df.sort_values(["facet", "score", "conv_id", "turn_idx"],
-                                ascending=[True, False, True, True])
-            df = df.groupby("facet", sort=False).head(int(h))
-            df.insert(0, "query_id", np.int32(qid))
-            tables.append(pa.Table.from_pandas(df, preserve_index=False)
-                          .cast(_TOP_HITS_SCHEMA))
-        if not tables:
-            return pa.table(
-                {f.name: [] for f in _TOP_HITS_SCHEMA},
-                schema=_TOP_HITS_SCHEMA)
-        return pa.concat_tables(tables)
+        def one(q, postings, mask):
+            cand, scores = self._sparse_scores(q[1], postings, mask)
+            code = np.unique(self._facet(facet_col, cand)
+                             .to_numpy(zero_copy_only=False),
+                             return_inverse=True)[1]
+            order = np.lexsort((cand, -scores, code))
+            run = code[order]           # rank within facet = distance
+            rank = np.arange(run.size) - np.searchsorted(run, run)
+            keep = order[rank < q[2]]   # to the facet's first row
+            return cand[keep], scores[keep]
+        return self._rows(queries, predicates, one, facet=facet_col)
 
     def search_with_rel(self, queries: list[tuple],
                         predicates: list[str] | None = None
@@ -1240,72 +1118,23 @@ class SegmentSearcher:
         quality evaluation (AP / NDCG over pseudo-qrels).  queries:
         [(query_id, terms, k)]; emits the local top-k with ``rel``
         attached (the flag is a pure doc property, so attaching it
-        before the cut cannot change the ranking)."""
-        all_terms = sorted(set().union(*[set(t) for _, t, _ in queries])
-                           ) if queries else []
-        postings = self.load_terms_cached(all_terms)
-        doc_mask = self._base_mask(predicates)
-        tables = []
-        for qid, terms, k in queries:
-            cand, scores = self._sparse_scores(terms, postings,
-                                               doc_mask=doc_mask)
-            if cand.size == 0:
-                continue
-            must = self._must_docs(terms, postings, doc_mask)
-            rel = np.isin(cand, must)
-            order = np.lexsort((cand, -scores))[:k]
-            idx = pa.array(cand[order])
-            tables.append(pa.table({
-                "query_id": pa.array(
-                    np.full(len(order), qid, dtype=np.int32)),
-                "conv_id": pc.cast(self.r.conv_id.take(idx), pa.string()),
-                "turn_idx": pc.cast(self.r.turn_idx.take(idx),
-                                    pa.int32()),
-                "score": pa.array(scores[order], pa.float64()),
-                "rel": pa.array(rel[order].astype(np.int8)),
-            }))
-        if not tables:
-            return pa.table({"query_id": pa.array([], pa.int32()),
-                             "conv_id": pa.array([], pa.string()),
-                             "turn_idx": pa.array([], pa.int32()),
-                             "score": pa.array([], pa.float64()),
-                             "rel": pa.array([], pa.int8())})
-        return pa.concat_tables(tables)
-
-    def _must_docs(self, terms: list[str],
-                   postings: dict, doc_mask: "np.ndarray | None"
-                   ) -> np.ndarray:
-        """Segment-local doc ids containing EVERY term (empty when any
-        term is absent from the segment... which does NOT mean the doc
-        set is empty globally — doc sets are segment-disjoint, so the
-        global must-set is the union of per-segment must-sets)."""
-        sets = []
-        for t in terms:
-            if t not in postings:
-                return np.empty(0, np.int64)
-            sets.append(self._decode_cached(t, postings[t])[0])
-        out = sets[0]
-        for s in sets[1:]:
-            out = out[np.isin(out, s)]
-        if doc_mask is not None and out.size:
-            out = out[doc_mask[out]]
-        return out
+        after the cut cannot change the ranking)."""
+        def one(q, postings, mask):
+            cand, scores = _top_k(*self._sparse_scores(q[1], postings,
+                                                       mask), q[2])
+            return cand, scores, np.isin(cand, self._must_docs(
+                q[1], postings, mask))
+        return self._rows(queries, predicates, one, cols=("score", "rel"))
 
     def must_counts(self, queries: list[tuple],
                     predicates: list[str] | None = None) -> pa.Table:
         """(query_id, n) partials: docs holding ALL the query's terms in
         this segment (sums exactly across segments)."""
-        all_terms = sorted(set().union(*[set(t) for _, t, _ in queries])
-                           ) if queries else []
-        postings = self.load_terms_cached(all_terms)
-        doc_mask = self._base_mask(predicates)
-        qids, ns = [], []
-        for qid, terms, _k in queries:
-            qids.append(qid)
-            ns.append(int(self._must_docs(terms, postings,
-                                          doc_mask).size))
-        return pa.table({"query_id": pa.array(qids, pa.int32()),
-                         "n": pa.array(ns, pa.int64())})
+        postings, mask = self._prologue(queries, predicates)
+        return pa.table({
+            "query_id": pa.array([q[0] for q in queries], pa.int32()),
+            "n": pa.array([self._must_docs(q[1], postings, mask).size
+                           for q in queries], pa.int64())})
 
     def search_boolean(self, queries: list[tuple],
                        predicates: list[str] | None = None) -> pa.Table:
@@ -1333,79 +1162,45 @@ class SegmentSearcher:
         exclude predicates gating which records flow on, here fused
         with scoring.
         """
-        all_terms = sorted(set().union(
-            *[set(q[1]) | set(q[2]) | set(q[3]) for q in queries])
-            ) if queries else []
-        postings = self.load_terms_cached(all_terms)
-        pred_mask = self._base_mask(predicates)
         n = self.r.n_docs
-        qid_out: list[int] = []
-        doc_out: list[int] = []
-        score_out: list[float] = []
-        for q in queries:
-            qid, must, should, must_not, k = q[:5]
+
+        def one(q, postings, pred_mask):
+            _qid, must, should, must_not, k = q[:5]
             msm = int(q[5]) if len(q) > 5 else 0
             must = sorted(set(must))
-            if must and any(t not in postings for t in must):
-                continue                 # a required term has no docs here
             mask: np.ndarray | None = None
             if must:
-                # intersect rarest-first: each step can only shrink
-                inter = None
-                for t in sorted(must, key=lambda t: postings[t].n_docs):
-                    docs, _ = self._decode_cached(t, postings[t])
-                    inter = docs if inter is None else \
-                        np.intersect1d(inter, docs, assume_unique=True)
-                    if inter.size == 0:
-                        break
+                inter = self._must_docs(must, postings, None)
                 if inter.size == 0:
-                    continue
+                    return _arrays([])   # no doc HERE holds every must term
                 mask = np.zeros(n, dtype=bool)
                 mask[inter] = True
             if msm > 0:
                 cnt = np.zeros(n, dtype=np.int32)
                 for t in sorted(set(should)):
-                    tp = postings.get(t)
-                    if tp is None:
-                        continue
-                    docs, _ = self._decode_cached(t, tp)
-                    cnt[docs] += 1
+                    if t in postings:
+                        cnt[self._decode_cached(t, postings[t])[0]] += 1
                 smask = cnt >= msm
                 if not smask.any():
-                    continue             # no doc HERE meets the msm bar
+                    return _arrays([])   # no doc HERE meets the msm bar
                 mask = smask if mask is None else (mask & smask)
             for t in sorted(set(must_not)):
-                tp = postings.get(t)
-                if tp is None:
-                    continue
-                docs, _ = self._decode_cached(t, tp)
-                if mask is None:
-                    mask = np.ones(n, dtype=bool)
-                mask[docs] = False
+                if t in postings:
+                    if mask is None:
+                        mask = np.ones(n, dtype=bool)
+                    mask[self._decode_cached(t, postings[t])[0]] = False
             if pred_mask is not None:
-                mask = pred_mask.copy() if mask is None else (mask & pred_mask)
+                mask = pred_mask if mask is None else (mask & pred_mask)
             score_terms = sorted(set(must) | set(should))
-            terms_in = [t for t in score_terms if t in postings]
-            if not terms_in:
-                continue
-            n_cand = sum(postings[t].n_docs for t in terms_in)
-            if n_cand <= self.SPARSE_MAX:
-                hits = self.score_sparse(score_terms, k, postings=postings,
-                                         doc_mask=mask)
-            else:
-                hits = self.score_full(score_terms, k, postings=postings,
-                                       doc_mask=mask)
-            for s, d in hits:
-                qid_out.append(qid)
-                doc_out.append(d)
-                score_out.append(s)
-        idx = pa.array(doc_out, pa.int64())
-        return pa.table({
-            "query_id": pa.array(qid_out, pa.int32()),
-            "conv_id": pc.cast(self.r.conv_id.take(idx), pa.string()),
-            "turn_idx": pc.cast(self.r.turn_idx.take(idx), pa.int32()),
-            "score": pa.array(score_out, pa.float64()),
-        })
+            n_cand = sum(postings[t].n_docs for t in score_terms
+                         if t in postings)
+            if n_cand == 0:
+                return _arrays([])
+            scorer = self.score_sparse if n_cand <= self.SPARSE_MAX \
+                else self.score_full
+            return _arrays(scorer(score_terms, k, postings=postings,
+                                  doc_mask=mask))
+        return self._rows(queries, predicates, one, _boolean_terms)
 
     def facet_counts(self, queries: list[tuple[int, list[str]]],
                      facet_col: str,
@@ -1417,73 +1212,21 @@ class SegmentSearcher:
         queries: [(query_id, terms)] → rows (query_id, facet, n) where a
         doc matches iff it contains ≥1 query term; n counts matching
         docs per distinct ``facet_col`` docmap value in this segment.
-        Segment partials sum exactly because docs are disjoint across
-        segments."""
-        all_terms = sorted(set().union(*[set(t) for _, t in queries])
-                           ) if queries else []
-        postings = self.load_terms_cached(all_terms)
-        pred_mask = self._base_mask(predicates)
-        attr = self.r.docs[facet_col]
-        tables = []
-        for qid, terms in queries:
-            present = [t for t in terms if t in postings]
-            if not present:
-                continue
-            docs = np.unique(np.concatenate(
-                [self._decode_cached(t, postings[t])[0] for t in present]))
-            if pred_mask is not None:
-                docs = docs[pred_mask[docs]]
-            if docs.size == 0:
-                continue
-            vc = pc.value_counts(attr.take(pa.array(docs)))
-            nv = len(vc)
-            tables.append(pa.table({
-                "query_id": pa.array([qid] * nv, pa.int32()),
-                "facet": pc.cast(vc.field("values"), pa.string()),
-                "n": pc.cast(vc.field("counts"), pa.int64()),
-            }))
-        if not tables:
-            return pa.table({"query_id": pa.array([], pa.int32()),
-                             "facet": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        return pa.concat_tables(tables)
+        Docs whose facet value is null are in no bucket, so Σ n plus
+        the null-facet matches is the match count."""
+        qid, docs = self._match_docs(queries, predicates, facet_col)
+        return _counts({"query_id": qid,
+                        "facet": self._facet(facet_col, docs)})
 
     def facet_range_counts(self, queries: list[tuple[int, list[str]]],
                            bin_width: int,
                            predicates: list[str] | None = None) -> pa.Table:
         """Numeric RANGE facets over the full match set: per-query doc
         counts binned by document length (bin_lo = (dl // bin_width) ·
-        bin_width) — the histogram-facet analog of :meth:`facet_counts`.
-        Same exactness argument: docs are disjoint across segments, so
-        per-segment (query, bin) partials sum exactly."""
-        all_terms = sorted(set().union(*[set(t) for _, t in queries])
-                           ) if queries else []
-        postings = self.load_terms_cached(all_terms)
-        pred_mask = self._base_mask(predicates)
-        dl = np.asarray(self.r.doclen)
-        tables = []
-        for qid, terms in queries:
-            present = [t for t in terms if t in postings]
-            if not present:
-                continue
-            docs = np.unique(np.concatenate(
-                [self._decode_cached(t, postings[t])[0] for t in present]))
-            if pred_mask is not None:
-                docs = docs[pred_mask[docs]]
-            if docs.size == 0:
-                continue
-            lo = (dl[docs].astype(np.int64) // bin_width) * bin_width
-            bins, counts = np.unique(lo, return_counts=True)
-            tables.append(pa.table({
-                "query_id": pa.array([qid] * len(bins), pa.int32()),
-                "bin_lo": pa.array(bins, pa.int64()),
-                "n": pa.array(counts.astype(np.int64)),
-            }))
-        if not tables:
-            return pa.table({"query_id": pa.array([], pa.int32()),
-                             "bin_lo": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        return pa.concat_tables(tables)
+        bin_width) — the histogram-facet analog of :meth:`facet_counts`."""
+        qid, docs = self._match_docs(queries, predicates)
+        return _counts({"query_id": qid, "bin_lo":
+                        self.r.doclen[docs] // bin_width * bin_width})
 
     def facet_stats(self, queries: list[tuple[int, list[str]]],
                     facet_col: str,
@@ -1491,66 +1234,21 @@ class SegmentSearcher:
         """Per-query facet STATS over the full match set: doc count AND
         doc-length sum per facet value (the ES terms-aggregation with a
         sub-metric).  Partials stay INTEGER (n, Σdl), so per-segment
-        rows sum exactly; the average is one driver-side division."""
-        all_terms = sorted(set().union(*[set(t) for _, t in queries])
-                           ) if queries else []
-        postings = self.load_terms_cached(all_terms)
-        pred_mask = self._base_mask(predicates)
-        attr = self.r.docs[facet_col]
-        dl = np.asarray(self.r.doclen)
-        tables = []
-        for qid, terms in queries:
-            present = [t for t in terms if t in postings]
-            if not present:
-                continue
-            docs = np.unique(np.concatenate(
-                [self._decode_cached(t, postings[t])[0] for t in present]))
-            if pred_mask is not None:
-                docs = docs[pred_mask[docs]]
-            if docs.size == 0:
-                continue
-            df = pd.DataFrame({
-                "facet": attr.take(pa.array(docs)).to_numpy(
-                    zero_copy_only=False),
-                "dl": dl[docs].astype(np.int64)})
-            g = df.groupby("facet", sort=False, as_index=False) \
-                .agg(n=("dl", "size"), dl_sum=("dl", "sum"))
-            tables.append(pa.table({
-                "query_id": pa.array([qid] * len(g), pa.int32()),
-                "facet": pa.array(g["facet"].astype(str)),
-                "n": pa.array(g["n"].to_numpy(np.int64)),
-                "dl_sum": pa.array(g["dl_sum"].to_numpy(np.int64)),
-            }))
-        if not tables:
-            return pa.table({"query_id": pa.array([], pa.int32()),
-                             "facet": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64()),
-                             "dl_sum": pa.array([], pa.int64())})
-        return pa.concat_tables(tables)
+        rows sum exactly; the average is one driver-side division.
+        Docs whose facet value is null are in no bucket (as in
+        :meth:`facet_counts`)."""
+        qid, docs = self._match_docs(queries, predicates, facet_col)
+        return _counts({"query_id": qid,
+                        "facet": self._facet(facet_col, docs),
+                        "dl": self.r.doclen[docs]}, sums=("dl",))
 
     def match_counts(self, queries: list[tuple[int, list[str]]],
                      predicates: list[str] | None = None) -> pa.Table:
         """(query_id, n): matching docs (≥1 query term present, optional
         predicate mask) per query in this segment — the 'total hits'
         count real engines report alongside top-k."""
-        all_terms = sorted(set().union(*[set(t) for _, t in queries])
-                           ) if queries else []
-        postings = self.load_terms_cached(all_terms)
-        pred_mask = self._base_mask(predicates)
-        qids, ns = [], []
-        for qid, terms in queries:
-            present = [t for t in terms if t in postings]
-            if not present:
-                continue
-            docs = np.unique(np.concatenate(
-                [self._decode_cached(t, postings[t])[0] for t in present]))
-            if pred_mask is not None:
-                docs = docs[pred_mask[docs]]
-            if docs.size:
-                qids.append(qid)
-                ns.append(int(docs.size))
-        return pa.table({"query_id": pa.array(qids, pa.int32()),
-                         "n": pa.array(ns, pa.int64())})
+        return _counts({"query_id": self._match_docs(queries,
+                                                     predicates)[0]})
 
     # Above ~this many candidate postings, the vectorized TAAT scorer
     # beats the Python doc-at-a-time WAND loop (hot Zipf-head terms make
@@ -1583,37 +1281,16 @@ class SegmentSearcher:
         multiply.  Assumes attr cardinality ≪ n_docs (true for any
         bounded feature like length, rating, recency bucket).
         """
-        import math as _math
-        all_terms = sorted(set().union(*[set(t) for _, t, _ in queries])
-                           ) if queries else []
-        postings = self.load_terms_cached(all_terms)
-        doc_mask = self._base_mask(predicates)
         vals = self.r.docs[attr].to_numpy(zero_copy_only=False) \
             .astype(np.float64)
         uniq, inv = np.unique(vals, return_inverse=True)
-        lut = np.array([_math.log(1.0 + float(v)) for v in uniq])
+        lut = np.array([math.log(1.0 + float(v)) for v in uniq])
         factor = 1.0 + weight * lut[inv]
-        qid_out: list[int] = []
-        doc_out: list[int] = []
-        score_out: list[float] = []
-        for qid, terms, k in queries:
-            cand, scores = self._sparse_scores(terms, postings,
-                                               doc_mask=doc_mask)
-            if cand.size == 0:
-                continue
-            fs = scores * factor[cand]
-            order = np.lexsort((cand, -fs))[:k]
-            for i in order:
-                qid_out.append(qid)
-                doc_out.append(int(cand[i]))
-                score_out.append(float(fs[i]))
-        idx = pa.array(doc_out, pa.int64())
-        return pa.table({
-            "query_id": pa.array(qid_out, pa.int32()),
-            "conv_id": pc.cast(self.r.conv_id.take(idx), pa.string()),
-            "turn_idx": pc.cast(self.r.turn_idx.take(idx), pa.int32()),
-            "score": pa.array(score_out, pa.float64()),
-        })
+
+        def one(q, postings, mask):
+            cand, scores = self._sparse_scores(q[1], postings, mask)
+            return _top_k(cand, scores * factor[cand], q[2])
+        return self._rows(queries, predicates, one)
 
     def search(self, queries: list[tuple[int, list[str], int]],
                use_bmw: bool = True,
@@ -1634,7 +1311,8 @@ class SegmentSearcher:
         beat the Python DAAT loop at every candidate count (measured
         10.7 ms WAND vs 0.15 ms sparse at 3.7k candidates, warm).
         ``predicates`` are ``attr op value`` strings ANDed over docmap
-        attribute columns.
+        attribute columns; a query tuple may carry its own predicate
+        list as a 4th element, ANDed with them for that query only.
 
         ``collapse=True`` returns top-k CONVERSATIONS per query, each
         represented by its best-scoring turn (ties: smallest turn_idx) —
@@ -1644,45 +1322,21 @@ class SegmentSearcher:
         is the global one.  All candidates are scored (k_eff = n_cand)
         before the vectorized collapse.
         """
-        doc_mask = self._base_mask(predicates)
-        if doc_mask is not None and not doc_mask.any():
-            # zone-style segment skip: no doc here satisfies the
-            # call-level predicate (common when the filtered attribute
-            # correlates with the build partitioning — time-ranged
-            # extends, conv-hash routing), so skip the postings read
-            # entirely; per-query filters only ever AND with this mask
-            return pa.table({
-                "query_id": pa.array([], pa.int32()),
-                "conv_id": pa.array([], pa.string()),
-                "turn_idx": pa.array([], pa.int32()),
-                "score": pa.array([], pa.float64())})
-        all_terms = sorted(set().union(*[set(q[1]) for q in queries])
-                           ) if queries else []
-        postings = self.load_terms_cached(all_terms)
-        # per-QUERY predicates (optional 4th tuple element — the
-        # filter-context-per-request shape): each distinct filter list
-        # compiles once per call and ANDs with the global mask
-        qmask_cache: dict[tuple, np.ndarray | None] = {}
-        qid_out: list[int] = []
-        doc_out: list[int] = []
-        score_out: list[float] = []
-        for q in queries:
-            qid, terms, k = q[0], q[1], q[2]
-            qpreds = q[3] if len(q) > 3 else None
-            if qpreds:
-                key = tuple(qpreds)
-                if key not in qmask_cache:
-                    m = self._base_mask(list(qpreds))
-                    if doc_mask is not None:
-                        m = doc_mask if m is None else (m & doc_mask)
-                    qmask_cache[key] = m
-                q_doc_mask = qmask_cache[key]
-            else:
-                q_doc_mask = doc_mask
-            terms_in = [t for t in terms if t in postings]
-            n_cand = sum(postings[t].n_docs for t in terms_in)
+        # per-query predicates: each distinct filter list compiles once
+        # per call and ANDs with the call's mask
+        qmasks: dict[tuple, np.ndarray] = {}
+
+        def one(q, postings, mask):
+            terms, k = q[1], q[2]
+            if len(q) > 3 and q[3]:
+                key = tuple(q[3])
+                if key not in qmasks:
+                    m = self._base_mask(list(key))
+                    qmasks[key] = m if mask is None else (m & mask)
+                mask = qmasks[key]
+            n_cand = sum(postings[t].n_docs for t in terms if t in postings)
             if n_cand == 0:
-                continue
+                return _arrays([])
             # collapse needs every candidate scored (the per-conv max may
             # hide below the top-k turns); BMW's pruning is pointless at
             # k_eff = n_cand, so collapse always takes a TAAT path
@@ -1691,37 +1345,25 @@ class SegmentSearcher:
                     collapse or prefer_taat or not use_bmw
                     or self.r.n_docs < self.BMW_MIN_DOCS):
                 hits = self.score_sparse(terms, k_eff, postings=postings,
-                                         doc_mask=q_doc_mask)
+                                         doc_mask=mask)
             elif not collapse and use_bmw \
                     and n_cand <= self.BMW_MAX_CANDIDATES \
                     and self.r.n_docs >= self.BMW_MIN_DOCS:
                 hits = self.score_bmw(terms, k_eff, postings=postings,
-                                      doc_mask=q_doc_mask)
+                                      doc_mask=mask)
             else:
                 hits = self.score_full(terms, k_eff, postings=postings,
-                                       doc_mask=q_doc_mask)
+                                       doc_mask=mask)
             if collapse and hits:
                 hits = _collapse_hits_impl(self, hits, k)
-            for s, d in hits:
-                qid_out.append(qid)
-                doc_out.append(d)
-                score_out.append(s)
-        # one vectorized docmap gather instead of two .as_py() per hit
-        idx = pa.array(doc_out, pa.int64())
-        return pa.table({
-            "query_id": pa.array(qid_out, pa.int32()),
-            "conv_id": pc.cast(self.r.conv_id.take(idx), pa.string()),
-            "turn_idx": pc.cast(self.r.turn_idx.take(idx), pa.int32()),
-            "score": pa.array(score_out, pa.float64()),
-        })
+            return _arrays(hits)
+        return self._rows(queries, predicates, one)
 
 
 def _collapse_hits_impl(searcher, hits, k):
     """Per-conversation best turn, then top-k conversations — vectorized
     over this segment's scored candidates."""
-    import pandas as pd
-    docs = np.array([d for _, d in hits], dtype=np.int64)
-    scores = np.array([s for s, _ in hits], dtype=np.float64)
+    docs, scores = _arrays(hits)
     idx = pa.array(docs)
     df = pd.DataFrame({
         "conv": searcher.r.conv_id.take(idx).to_pandas(),
@@ -1736,11 +1378,6 @@ def _collapse_hits_impl(searcher, hits, k):
 
 _RESULT_SCHEMA = pa.schema([
     ("query_id", pa.int32()), ("rank", pa.int32()),
-    ("conv_id", pa.string()), ("turn_idx", pa.int32()),
-    ("score", pa.float64())])
-
-_TOP_HITS_SCHEMA = pa.schema([
-    ("query_id", pa.int32()), ("facet", pa.string()),
     ("conv_id", pa.string()), ("turn_idx", pa.int32()),
     ("score", pa.float64())])
 
@@ -1786,5 +1423,3 @@ def _global_df_for_terms(index_dir: str, terms: set[str]) -> dict[str, int]:
                           ).read(columns=["term", "df"])
     return dict(zip(t["term"].to_pylist(),
                     (int(x) for x in t["df"].to_pylist())))
-
-
