@@ -176,7 +176,7 @@ class TermPostings:
     """Encoded postings for one term within one segment."""
 
     n_docs: int
-    blob: bytes                     # [docs varints][tfs varints][pos varints]
+    blob: bytes | memoryview        # [docs varints][tfs varints][pos varints]
     block_last_doc: np.ndarray      # int64 per block — max doc id in block
     block_max_tf: np.ndarray        # int32 per block
     block_min_dl: np.ndarray        # int32 per block

@@ -1011,9 +1011,8 @@ def search_fields_index(fields: list[tuple[str, float]],
                          f"got {combine!r}")
     eff = EngineConfig.from_dict(cfg0) if cfg is None else cfg.validate()
     tok = Tokenizer(eff.analyzer)
-    parsed = [(int(q["query_id"]),
-               sorted(set(tok.tokenize(q["query_text"]))),
-               int(q.get("k", 10))) for q in queries]
+    parsed = P.parse_queries(P.parse_ranked, tok, queries)
+    P.check_ranks(queries)
     all_terms = set().union(*[set(t) for _, t, _ in parsed]) \
         if parsed else set()
     gdfs = [_global_df_for_terms(d, all_terms) for d, _ in fields]
@@ -1202,6 +1201,7 @@ def retrieval_eval_index(index_dir: str, queries: list[dict],
     """
     ix = open_index(index_dir, cfg, predicates)
     parsed = P.parse_queries(P.parse_ranked, ix.tok, queries)
+    P.check_ranks(queries)
     idf_map = ix.idf_map({t for _, ts, _ in parsed for t in ts})
     df = scatter(ix, _eval_segment, idf_map, parsed=parsed,
                  predicates=predicates)

@@ -263,7 +263,7 @@ def plan(mode: str, tok: Tokenizer, queries: list[dict],
          validate: Callable | None = None, **opts) -> Request:
     """Parse and check one request of ``mode``.  ``validate`` checks a
     query's own ``"filter"`` list (``search`` only).  A ranked mode's
-    negative k, h or offset raises; k = 0 asks for no rows."""
+    k, h and offset go through :func:`check_ranks`."""
     entry = MODES.get(mode)
     if entry is None:
         raise ValueError(f"unknown retrieval mode {mode!r}")
@@ -275,11 +275,17 @@ def plan(mode: str, tok: Tokenizer, queries: list[dict],
                 validate(list(q["filter"]))
         offsets = {_qid(q): int(q.get("offset", 0)) for q in queries}
     if entry.k is not None:
-        bad = sorted(_qid(q) for q in queries if min(
-            int(q.get(f, 0)) for f in ("k", "h", "offset")) < 0)
-        if bad:
-            raise ValueError(f"negative k, h or offset for query_id {bad}")
+        check_ranks(queries)
     return Request(mode, parsed, opts, offsets)
+
+
+def check_ranks(queries: list[dict]) -> None:
+    """A ranked request's negative k, h or offset raises; k = 0 asks for
+    no rows."""
+    bad = sorted(_qid(q) for q in queries if min(
+        int(q.get(f, 0)) for f in ("k", "h", "offset")) < 0)
+    if bad:
+        raise ValueError(f"negative k, h or offset for query_id {bad}")
 
 
 def resolve_idf(reqs: list[Request], df_lookup: Callable,

@@ -1,10 +1,11 @@
 """BM25 execution on one segment: the scorers and the mode kernels.
 
-A :class:`SegmentSearcher` keeps one segment's docmap and doc-length
-norms resident and reads postings per query term (parquet predicate
-pushdown, LRU caches for raw, decoded, positional and dense-contribution
-postings).  Three interchangeable exact scorers rank a query's
-candidates (reference: src/vframe/image/processors/base.py:134-146 —
+A :class:`SegmentSearcher` keeps one segment's docmap, doc-length norms
+and term dictionary resident (:class:`.segment.SegmentReader`: a
+postings lookup is an in-memory probe, not a file read) and keeps LRU
+caches of raw, decoded, positional and dense-contribution postings.
+Three interchangeable exact scorers rank a query's candidates
+(reference: src/vframe/image/processors/base.py:134-146 —
 ``np.argsort(preds)[::-1][:limit]`` above a threshold, here a bounded
 top-k over BM25 scores):
 
@@ -143,18 +144,18 @@ _COLS = {"score": (np.float64, pa.float64()), "rel": (np.int8, pa.int8())}
 
 
 class SegmentSearcher:
-    """Scores queries against one segment (docmap resident; postings read
-    per query term with parquet predicate pushdown)."""
+    """Scores queries against one segment (docmap and term dictionary
+    resident; postings looked up in memory per query term)."""
 
     # decoded-postings cache budget per searcher (bytes of docs+tfs
     # arrays); persistent searchers (QueryService shards) amortize
-    # parquet read + varint decode across calls under this cap
+    # the postings lookup + varint decode across calls under this cap
     DECODE_CACHE_BYTES = 64 << 20
 
     def __init__(self, seg_dir: str, bm25: BM25Config, n_docs_global: int,
                  avgdl: float, global_df: dict[str, int],
                  block_size: int = 128):
-        self.r = SegmentReader(seg_dir)
+        self.r = SegmentReader(seg_dir, block_size)
         self.bm25 = bm25
         self.block_size = block_size
         self.avgdl = avgdl if avgdl > 0 else 1.0
@@ -181,12 +182,6 @@ class SegmentSearcher:
         # position lists under the same LRU discipline
         self._pos_cache: "OrderedDict[str, tuple]" = OrderedDict()
         self._pos_cache_bytes = 0
-        self._absent: set[str] = set()   # terms known absent here
-
-    # negative-cache bound: a long-lived service fed ever-new OOV terms
-    # would otherwise grow _absent without limit (ADVICE.md round 2);
-    # clearing just costs one re-read per cleared term
-    ABSENT_CAP = 65536
 
     def _base_mask(self, predicates: list[str] | None
                    ) -> np.ndarray | None:
@@ -292,27 +287,24 @@ class SegmentSearcher:
     # ---------- postings caches ----------
 
     def load_terms_cached(self, terms: list[str]) -> dict[str, TermPostings]:
-        """Postings for ``terms``, reading only cache misses from parquet
-        (one filtered read per call).  Persistent searchers skip the
-        read entirely on repeated query vocabularies."""
+        """Postings for ``terms``: cache hits, then ONE dictionary lookup
+        for the misses this segment holds — the resident term column
+        answers absence exactly, so absent terms never reach
+        :meth:`SegmentReader.load_terms`."""
         hit = {}
         for t in terms:
             tp = self._postings_cache.get(t)
             if tp is not None:
                 self._postings_cache.move_to_end(t)   # true LRU on hit
                 hit[t] = tp
-        # negative entries: terms known absent from this segment
-        missing = [t for t in terms
-                   if t not in hit and t not in self._absent]
+        missing = [t for t in terms if t not in hit]
+        if missing:
+            missing = [t for t, held in zip(missing,
+                                            self.r.has_terms(missing))
+                       if held]
         if missing:
             fresh = self.r.load_terms(missing)
-            for t in missing:
-                tp = fresh.get(t)
-                if tp is None:
-                    if len(self._absent) >= self.ABSENT_CAP:
-                        self._absent.clear()
-                    self._absent.add(t)
-                    continue
+            for t, tp in fresh.items():
                 hit[t] = tp
                 self._postings_cache[t] = tp
                 self._postings_cache_bytes += len(tp.blob) + 200

@@ -19,6 +19,11 @@ Layout of one segment directory::
 global doc-id assignment (and therefore no global sort) exists anywhere in
 the engine; global identity is the (conv_id, turn_idx) key itself and
 tie-breaks use it directly (SURVEY.md §7.4).
+
+Reading: :class:`SegmentReader` loads the docmap when it opens and the
+whole ``terms.parquet`` on the first postings lookup; from then on a
+lookup is an in-memory probe of the sorted term column, and the postings
+it returns are zero-copy slices of that resident table.
 """
 
 from __future__ import annotations
@@ -238,21 +243,33 @@ def build_segment(group: pa.Table, segment_id: int, index_dir: str,
     return manifest
 
 
-class SegmentReader:
-    """Read-side handle on one segment: docmap resident, postings read
-    per-term with parquet predicate pushdown (terms.parquet is sorted by
-    term with small row groups, so a term lookup touches few row groups —
-    the analog of the reference's labels lookup held in each processor,
-    base.py:47-55)."""
+# the five per-block metadata list columns of TERMS_SCHEMA, with the
+# dtype TermPostings carries them in
+_BLOCK_COLS = {"block_last_doc": np.int64, "block_max_tf": np.int32,
+               "block_min_dl": np.int32, "block_doc_off": np.int64,
+               "block_tf_off": np.int64}
 
-    def __init__(self, seg_dir: str):
+
+class SegmentReader:
+    """Read-side handle on one segment.  The docmap is resident from the
+    start; the term dictionary (all of ``terms.parquet``: terms, block
+    metadata, postings blobs) is read whole on the first postings lookup
+    and kept, so every lookup is an in-memory probe of the sorted term
+    column — the analog of Lucene's resident terms index (.tip/.tim) and
+    of the reference's labels lookup held in each processor,
+    base.py:47-55.  Docmap-only users (conversation fetch, deletes,
+    attribute updates) never read the dictionary."""
+
+    def __init__(self, seg_dir: str, block_size: int = 128):
         self.seg_dir = seg_dir
+        self.block_size = block_size
         d = pq.read_table(os.path.join(seg_dir, "docs.parquet"))
         self.docs = d                  # full docmap incl. attribute columns
         self.conv_id = d["conv_id"].combine_chunks()
         self.turn_idx = d["turn_idx"].combine_chunks()
         self.doclen = d["doclen"].to_numpy(zero_copy_only=False).astype(np.int64)
         self.n_docs = d.num_rows
+        self._terms: pa.StringArray | None = None
         self.reload_deletes()
 
     def reload_deletes(self) -> None:
@@ -272,32 +289,75 @@ class SegmentReader:
         else:
             self.alive = None
 
-    def load_terms(self, terms: list[str]) -> dict[str, TermPostings]:
-        if not terms:
-            return {}
-        t = pq.read_table(
-            os.path.join(self.seg_dir, "terms.parquet"),
-            filters=[("term", "in", list(terms))],
-        )
-        out: dict[str, TermPostings] = {}
-        for row in t.to_pylist():
-            out[row["term"]] = TermPostings(
-                n_docs=row["n_docs"],
-                blob=row["blob"],
-                block_last_doc=np.asarray(row["block_last_doc"], dtype=np.int64),
-                block_max_tf=np.asarray(row["block_max_tf"], dtype=np.int32),
-                block_min_dl=np.asarray(row["block_min_dl"], dtype=np.int32),
-                block_doc_off=np.asarray(row["block_doc_off"], dtype=np.int64),
-                block_tf_off=np.asarray(row["block_tf_off"], dtype=np.int64),
-                tf_section_off=row["tf_section_off"],
-                pos_section_off=row["pos_section_off"],
-            )
-        return out
+    def _corrupt(self, what: str) -> ValueError:
+        return ValueError(f"corrupt segment {self.seg_dir}: "
+                          f"terms.parquet {what}")
 
-    def local_df(self, terms: list[str]) -> dict[str, int]:
+    @property
+    def terms(self) -> pa.StringArray:
+        """The sorted term column; the first access reads and checks the
+        whole dictionary.  Cheap vectorized checks make a damaged file
+        raise here instead of answering from wrong postings."""
+        if self._terms is not None:
+            return self._terms
+        try:
+            t = pq.ParquetFile(os.path.join(self.seg_dir,
+                                            "terms.parquet")).read()
+        except (OSError, pa.ArrowException) as e:
+            raise self._corrupt(f"is unreadable ({e})") from e
+        if t.column_names != TERMS_SCHEMA.names:
+            raise self._corrupt(f"has columns {t.column_names}")
+        col = {name: t[name].combine_chunks() for name in t.column_names}
+        terms, blob = col["term"], col["blob"]
+        n = len(terms)
+        if terms.null_count or (n > 1 and not pc.all(pc.less(
+                terms.slice(0, n - 1), terms.slice(1))).as_py()):
+            raise self._corrupt("terms are not strictly ascending")
+        # zero-copy views: blob byte offsets + data, list offsets + values
+        _, offsets, data = blob.buffers()
+        self._blob_off = np.frombuffer(offsets, np.int64,
+                                       n + 1 + blob.offset)[blob.offset:]
+        self._blob_data = memoryview(data or b"")
+        self._n_docs, self._tf_off, self._pos_off = (
+            col[c].to_numpy(zero_copy_only=False).astype(np.int64)
+            for c in ("n_docs", "tf_section_off", "pos_section_off"))
+        if not ((0 <= self._tf_off) & (self._tf_off <= self._pos_off)
+                & (self._pos_off <= np.diff(self._blob_off))).all():
+            raise self._corrupt("section offsets lie outside their blob")
+        n_blocks = -(-self._n_docs // self.block_size)
+        self._blocks = {}
+        for c, dt in _BLOCK_COLS.items():
+            off = col[c].offsets.to_numpy()
+            if not np.array_equal(np.diff(off), n_blocks):
+                raise self._corrupt(f"{c} lists do not hold one entry per "
+                                    f"block of {self.block_size} docs")
+            self._blocks[c] = (off, col[c].values.to_numpy(
+                zero_copy_only=False).astype(dt, copy=False))
+        self._terms = terms
+        return terms
+
+    def has_terms(self, terms: list[str]) -> np.ndarray:
+        """Bool mask: which of ``terms`` this segment holds (one
+        vectorized membership test)."""
+        return pc.is_in(pa.array(terms, pa.string()),
+                        value_set=self.terms).to_numpy(zero_copy_only=False)
+
+    def load_terms(self, terms: list[str]) -> dict[str, TermPostings]:
+        """Postings of the ``terms`` this segment holds: one probe of the
+        resident term column, then each :class:`TermPostings` built from
+        zero-copy slices of the dictionary (blob bytes, block lists)."""
         if not terms:
             return {}
-        t = pq.read_table(os.path.join(self.seg_dir, "terms.parquet"),
-                          columns=["term", "df"],
-                          filters=[("term", "in", list(terms))])
-        return dict(zip(t["term"].to_pylist(), t["df"].to_pylist()))
+        rows = pc.index_in(pa.array(terms, pa.string()), value_set=self.terms)
+        out: dict[str, TermPostings] = {}
+        for t, r in zip(terms, rows.to_pylist()):
+            if r is None:
+                continue
+            blocks = {c: v[off[r]:off[r + 1]]
+                      for c, (off, v) in self._blocks.items()}
+            out[t] = TermPostings(
+                n_docs=int(self._n_docs[r]),
+                blob=self._blob_data[self._blob_off[r]:self._blob_off[r + 1]],
+                tf_section_off=int(self._tf_off[r]),
+                pos_section_off=int(self._pos_off[r]), **blocks)
+        return out

@@ -154,7 +154,7 @@ class QueryService:
         self._req_cache_hits = 0
         self._req_cache_misses = 0
 
-    _DF_CACHE_CAP = 1 << 20   # OOV-flood bound, same spirit as ABSENT_CAP
+    _DF_CACHE_CAP = 1 << 20   # bound for a service fed ever-new OOV terms
 
     def _req_cache_key(self, mode: str, queries: list[dict],
                        **kwargs) -> str:
